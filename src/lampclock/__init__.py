@@ -35,6 +35,7 @@ from .schemes import (
     SchemeShape,
     ShapeClass,
     classify,
+    count_shapes,
     enumerate_shapes,
     is_triangular_feasible,
     shape_to_scheme,
@@ -71,6 +72,7 @@ __all__ = [
     "Violation",
     "capacity",
     "classify",
+    "count_shapes",
     "decode",
     "decode_minutes",
     "derive_units",

@@ -18,7 +18,7 @@ from .catalog import resolve_scheme
 from .codec import Meridiem, RowScheme, TimeOfDay, decode, encode, validate
 from .errors import ClockError, InvalidSchemeError
 from .render import Layout, RenderFormat, RenderSpec, parse_bits, render
-from .schemes import ShapeClass, enumerate_shapes, DEFAULT_SHAPE_LIMIT
+from .schemes import ShapeClass, count_shapes, enumerate_shapes, DEFAULT_SHAPE_LIMIT
 from .timesource import SystemTimeSource, TimeSource
 
 EXIT_OK = 0
@@ -204,6 +204,11 @@ def cmd_schemes(target: int, shape_filter: ShapeClass | None, limit: int,
     return EXIT_OK
 
 
+def cmd_count(target: int, out: TextIO | None = None) -> int:
+    print(count_shapes(target), file=out or sys.stdout)
+    return EXIT_OK
+
+
 def cmd_validate(selector: str, out: TextIO | None = None) -> int:
     out = out or sys.stdout
     scheme = resolve_scheme(selector)
@@ -280,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
                              const=ShapeClass.RECTANGULAR)
     shape_group.add_argument("--irregular", dest="shape_filter", action="store_const",
                              const=ShapeClass.IRREGULAR)
+    shape_group.add_argument("--count", action="store_true",
+                             help="print only the number of layouts; not capped by --limit")
     p_schemes.add_argument("--limit", type=_positive_int, default=DEFAULT_SHAPE_LIMIT,
                            help=f"enumeration cap (default: {DEFAULT_SHAPE_LIMIT})")
-    p_schemes.set_defaults(func=lambda a: cmd_schemes(a.target, a.shape_filter, a.limit))
+    p_schemes.set_defaults(func=lambda a: cmd_count(a.target) if a.count
+                           else cmd_schemes(a.target, a.shape_filter, a.limit))
 
     p_validate = sub.add_parser("validate", parents=[scheme_opts],
                                 help="check a scheme's structural rules")

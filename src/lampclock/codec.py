@@ -105,10 +105,13 @@ class TimeOfDay:
 
     @classmethod
     def parse(cls, text: str) -> "TimeOfDay":
-        """Parse ``HH:MM`` or ``HH:MM:SS``; seconds are truncated."""
+        """Parse ``HH:MM`` or ``HH:MM:SS`` in ASCII digits; seconds, which
+        must lie in 0..59, are truncated."""
         parts = text.strip().split(":")
-        if len(parts) not in (2, 3) or not all(p.isdigit() and p for p in parts):
+        if len(parts) not in (2, 3) or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"not a valid HH:MM time: {text!r}")
+        if len(parts) == 3 and int(parts[2]) >= 60:
+            raise ValueError(f"second out of range [0, 60): {parts[2]}")
         return cls.from_hm(int(parts[0]), int(parts[1]))
 
     @classmethod

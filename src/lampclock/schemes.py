@@ -7,19 +7,25 @@ therefore yields one feasible layout, a factor f contributing a row of
 f-1 lamps. Row order matters physically (top rows are more significant),
 so factorizations are ordered, not unordered. Factors of 1 would be
 zero-lamp rows and are excluded.
+
+The target is factored once, by trial division, Miller-Rabin and
+Pollard's rho. The number of layouts depends only on the prime exponents,
+so the cap is checked before any layout is built, and filtered queries
+build only the layouts they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import prod
+from math import comb, gcd, prod
 
 from .codec import RowScheme
 from .catalog import make_scheme
 from .errors import EnumerationCapError, InvalidSchemeError
 
 DEFAULT_SHAPE_LIMIT = 100_000
+MAX_TARGET = 2**64  # targets must be below this to be factored in bounded time
 
 
 class ShapeClass(Enum):
@@ -54,17 +60,126 @@ class SchemeShape:
         return prod(c + 1 for c in self.lamp_counts)
 
 
-def _divisors_from_2(n: int) -> list[int]:
-    """Divisors of n that are >= 2, ascending (n itself included)."""
-    small, large = [], []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)  # descending as d ascends
-        d += 1
-    return small + large[::-1] + [n]
+# Trial divisors, and the Miller-Rabin bases that make the test exact
+# below 3.18e23 (Sorenson and Webster 2015), far above MAX_TARGET.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_RHO_BATCH = 64  # gcds are taken over products of this many differences
+
+
+def _check_target(target_states: int) -> None:
+    if target_states < 2:
+        raise ValueError(f"target_states must be at least 2, got {target_states}")
+    if target_states >= MAX_TARGET:
+        raise ValueError(f"target_states must be below 2**64, got {target_states}")
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for n > 37, so that every base is a unit mod n."""
+    d, s = n - 1, 0  # n - 1 == d * 2**s with d odd
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n (Pollard's rho, Brent 1980)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: step through it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization of 1 <= n < MAX_TARGET as {prime: exponent},
+    ascending by prime."""
+    factors: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            pending += (d, m // d)
+    return dict(sorted(factors.items()))
+
+
+def _shape_count(factors: dict[int, int]) -> int:
+    """Ordered factorizations of the number with this prime factorization.
+
+    ``ways[j]`` counts ordered splits into j factors >= 1, one
+    stars-and-bars choice per prime; inclusion-exclusion over the factors
+    allowed to be 1 leaves the splits into exactly k factors >= 2.
+    """
+    exponents = factors.values()
+    omega = sum(exponents)
+    ways = [prod(comb(e + j - 1, e) for e in exponents) for j in range(omega + 1)]
+    return sum((-1) ** (k - j) * comb(k, j) * ways[j]
+               for k in range(1, omega + 1) for j in range(1, k + 1))
+
+
+def count_shapes(target_states: int) -> int:
+    """Number of row layouts with exactly ``target_states`` display
+    states, which is the number of its ordered factorizations into
+    factors >= 2 (Kalmar's function H(n)), computed without building any."""
+    _check_target(target_states)
+    return _shape_count(_factorize(target_states))
+
+
+def _factor_sequences(divisors: list[int], remaining: int,
+                      lamps_prefix: tuple[int, ...], out: list[tuple[int, ...]]) -> None:
+    """Append to ``out`` the lamp counts of every ordered factorization of
+    ``remaining`` into ``divisors``, each after ``lamps_prefix``.
+
+    Ascending divisors emit the sequences in lexicographic order; no
+    complete sequence is a prefix of another, because appending any
+    factor >= 2 overshoots the product.
+    """
+    for f in divisors:
+        if f > remaining:
+            break
+        if remaining % f:
+            continue
+        lamps = lamps_prefix + (f - 1,)
+        if f == remaining:
+            out.append(lamps)
+        else:
+            _factor_sequences(divisors, remaining // f, lamps, out)
 
 
 def enumerate_shapes(
@@ -76,41 +191,36 @@ def enumerate_shapes(
 
     Returns one shape per ordered factorization of ``target_states`` into
     factors >= 2, in lexicographic order of lamp counts, optionally
-    restricted to one geometry class. Enumeration (before filtering) is
-    capped at ``limit`` shapes; exceeding the cap raises
-    :class:`EnumerationCapError`.
+    restricted to one geometry class. ``target_states`` must lie in
+    [2, 2**64), else :class:`ValueError`. The cap applies to the count of
+    all shapes before filtering: when :func:`count_shapes` exceeds
+    ``limit``, :class:`EnumerationCapError` is raised before any shape is
+    built.
     """
-    if target_states < 2:
-        raise ValueError(f"target_states must be at least 2, got {target_states}")
+    _check_target(target_states)
+    factors = _factorize(target_states)
+    if _shape_count(factors) > limit:
+        raise EnumerationCapError(f"more than {limit} shapes for target {target_states}")
 
-    divisors = _divisors_from_2(target_states)
-    shapes: list[SchemeShape] = []
-    produced = 0
+    if shape_filter is ShapeClass.TRIANGULAR:
+        rows = is_triangular_feasible(target_states)
+        lamp_lists = [] if rows is None else [tuple(range(1, rows + 1))]
+    elif shape_filter is ShapeClass.RECTANGULAR:
+        # n == f**k exactly when k divides every exponent; larger k, smaller f
+        g = gcd(*factors.values())
+        lamp_lists = [(prod(p ** (e // k) for p, e in factors.items()) - 1,) * k
+                      for k in range(g, 1, -1) if g % k == 0]
+    else:
+        divisors = [1]
+        for p, e in factors.items():
+            divisors = [d * p**i for d in divisors for i in range(e + 1)]
+        divisors.sort()
+        lamp_lists = []
+        _factor_sequences(divisors[1:], target_states, (), lamp_lists)
 
-    # DFS over ascending divisors emits factor sequences, hence lamp-count
-    # tuples, in lexicographic order; no complete sequence is a prefix of
-    # another because appending any factor >= 2 overshoots the product.
-    def fill(remaining: int, lamps_prefix: tuple[int, ...]) -> None:
-        nonlocal produced
-        for f in divisors:
-            if f > remaining:
-                break
-            if remaining % f:
-                continue
-            lamps = lamps_prefix + (f - 1,)
-            if f == remaining:
-                produced += 1
-                if produced > limit:
-                    raise EnumerationCapError(
-                        f"more than {limit} shapes for target {target_states}"
-                    )
-                shape = SchemeShape.from_lamp_counts(lamps)
-                if shape_filter is None or shape.classification is shape_filter:
-                    shapes.append(shape)
-            else:
-                fill(remaining // f, lamps)
-
-    fill(target_states, ())
+    shapes = [SchemeShape.from_lamp_counts(lamps) for lamps in lamp_lists]
+    if shape_filter is ShapeClass.IRREGULAR:
+        return [s for s in shapes if s.classification is shape_filter]
     return shapes
 
 

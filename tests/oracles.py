@@ -1,11 +1,14 @@
 """Independent oracles the tests check the library against.
 
 These deliberately avoid the library's own algorithms: digit vectors are
-found by exhaustive search over every displayable state, and ordered
-factorizations are counted by trying every integer factor directly.
+found by exhaustive search over every displayable state, ordered
+factorizations are counted by trying every integer factor directly, and
+primes are recognized by trial division or by Lucas's converse of
+Fermat's theorem, never by Miller-Rabin.
 """
 
 from itertools import product
+from math import prod
 
 
 def exhaustive_digits(minutes: int, lamp_counts: list[int], units: list[int]) -> tuple[int, ...]:
@@ -41,3 +44,32 @@ def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
         if n % f == 0:
             result.extend((f,) + rest for rest in ordered_factorizations(n // f))
     return result
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division up to the square root of n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1 if d == 2 else 2
+    return True
+
+
+def lucas_proves_prime(n: int, primes_of_n_minus_1: list[int]) -> bool:
+    """Lucas's test: n is prime if some a has order exactly n - 1 mod n.
+
+    ``primes_of_n_minus_1`` is the prime factorization of n - 1 with
+    multiplicity; each factor is itself checked by trial division, so it
+    must be small enough for that.
+    """
+    if prod(primes_of_n_minus_1) != n - 1 or not all(map(is_prime, primes_of_n_minus_1)):
+        return False
+    for a in range(2, 1000):
+        if pow(a, n - 1, n) == 1 and all(
+            pow(a, (n - 1) // q, n) != 1 for q in set(primes_of_n_minus_1)
+        ):
+            return True
+    return False

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -48,7 +49,7 @@ class TestShow:
         rows = capsys.readouterr().out.strip().split("/")
         assert [len(r) for r in rows] == [1, 2, 3, 4, 5]
 
-    @pytest.mark.parametrize("bad", ["24:00", "12:60", "noon"])
+    @pytest.mark.parametrize("bad", ["24:00", "12:60", "noon", "04:49:99", "\u0660\u0664:\u0664\u0669"])
     def test_bad_time_is_input_error(self, bad, capsys):
         assert main(["show", "--time", bad]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
@@ -144,6 +145,31 @@ class TestSchemes:
     def test_cap_overflow(self, capsys):
         assert main(["schemes", "720", "--limit", "10"]) == EXIT_INPUT
         assert "10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, expected", [
+        ("720", "1888"),
+        ("1000000000000000000", "1058972245409005568"),  # 2**18 * 5**18
+    ])
+    def test_count(self, target, expected, capsys):
+        assert main(["schemes", target, "--count", "--limit", "5"]) == EXIT_OK
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_count_excludes_filters(self, capsys):
+        assert main(["schemes", "720", "--count", "--triangular"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        (["schemes", "1000000000000000000", "--limit", "5"], EXIT_INPUT, "", "more than 5 shapes"),
+        (["schemes", str(2**64)], EXIT_INPUT, "", "2**64"),
+        (["schemes", str(2**64), "--count"], EXIT_INPUT, "", "2**64"),
+        (["schemes", str(2**61 - 1)], EXIT_OK, "[2305843009213693950] IRREGULAR 2305843009213693950\n", ""),
+    ])
+    def test_huge_targets_finish_quickly(self, argv, code, stdout, stderr, capsys):
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == stdout
+        assert stderr in err
 
 
 class TestValidate:

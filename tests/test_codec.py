@@ -38,7 +38,8 @@ class TestTimeOfDay:
     def test_seconds_truncated(self):
         assert TimeOfDay.parse("10:31:59").minutes_since_midnight == 631
 
-    @pytest.mark.parametrize("bad", ["24:00", "12:60", "xx:yy", "12", "-1:00", "1:2:3:4", ""])
+    @pytest.mark.parametrize("bad", ["24:00", "12:60", "xx:yy", "12", "-1:00", "1:2:3:4", "",
+                                     "04:49:99", "04:49:60", "\u0660\u0664:\u0664\u0669"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             TimeOfDay.parse(bad)

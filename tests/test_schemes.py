@@ -1,7 +1,8 @@
+import gc
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from lampclock import (
@@ -12,12 +13,14 @@ from lampclock import (
     SchemeShape,
     ShapeClass,
     classify,
+    count_shapes,
     enumerate_shapes,
     is_triangular_feasible,
     shape_to_scheme,
     validate,
 )
-from oracles import ordered_factorization_count, ordered_factorizations
+from lampclock.schemes import _factorize
+from oracles import is_prime, lucas_proves_prime, ordered_factorization_count, ordered_factorizations
 
 
 class TestClassify:
@@ -57,6 +60,28 @@ class TestEnumerateShapes:
         with pytest.raises(ValueError):
             enumerate_shapes(bad)
 
+    @pytest.mark.parametrize("bad", [2**64, 10**30])
+    def test_target_from_2_to_the_64_rejected(self, bad):
+        with pytest.raises(ValueError):
+            enumerate_shapes(bad)
+        with pytest.raises(ValueError):
+            count_shapes(bad)
+
+    def test_leaves_no_reference_cycles(self):
+        # a capped call must not keep its work alive until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_shapes(720)
+            assert gc.collect() == 0
+            try:
+                enumerate_shapes(40320)
+            except EnumerationCapError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_cap_overflow(self):
         with pytest.raises(EnumerationCapError):
             enumerate_shapes(720, limit=100)
@@ -79,6 +104,22 @@ class TestEnumerateShapes:
     def test_count_matches_oracle(self, n):
         assert len(enumerate_shapes(n)) == ordered_factorization_count(n)
 
+    def test_count_shapes_matches_oracle(self):
+        for n in range(2, 2001):
+            assert count_shapes(n) == ordered_factorization_count(n), n
+
+    @pytest.mark.parametrize("shape_filter", list(ShapeClass))
+    @given(st.integers(min_value=2, max_value=2520))
+    @example(2)
+    @example(64)
+    @example(720)
+    @example(729)
+    @example(1296)
+    @example(4096)
+    def test_filter_equals_filtered_enumeration(self, shape_filter, n):
+        expected = [s for s in enumerate_shapes(n) if s.classification is shape_filter]
+        assert enumerate_shapes(n, shape_filter) == expected
+
     @given(st.integers(min_value=2, max_value=400))
     def test_products_hit_target_exactly(self, n):
         for shape in enumerate_shapes(n):
@@ -95,6 +136,25 @@ class TestEnumerateShapes:
         else:
             assert len(triangles) == 1
             assert triangles[0].lamp_counts == tuple(range(1, rows + 1))
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("n", [
+        561, 41041, 825265,  # Carmichael numbers
+        3215031751, 2152302898747,  # strong pseudoprimes to bases 2..7 and 2..11
+        999983**2, 1000003**2, 999983**3, 1000003**3,
+        2147483647 * 2147483629, 2147483659 * 2147483647,  # two primes near 2**31
+    ])
+    def test_product_of_trial_division_primes(self, n):
+        factors = _factorize(n)
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert all(is_prime(p) for p in factors)
+        assert list(factors) == sorted(factors)
+
+    def test_largest_prime_below_2_to_the_64(self):
+        n = 2**64 - 59
+        assert _factorize(n) == {n: 1}
+        assert lucas_proves_prime(n, [2, 2, 11, 137, 547, 5594472617641])
 
 
 class TestTriangularFeasibility:
