@@ -27,7 +27,7 @@ def make_scheme(
     base_unit_minutes: int = 1,
 ) -> RowScheme:
     """Build a scheme from lamp counts, deriving units, and validate it."""
-    units = derive_units(lamp_counts, base_unit=1)
+    units = derive_units(lamp_counts)
     rows = tuple(RowSpec(lamps, unit) for lamps, unit in zip(lamp_counts, units))
     scheme = RowScheme(name, rows, cycle_minutes, base_unit_minutes)
     report = validate(scheme)
@@ -72,14 +72,15 @@ def load_scheme(path: str | Path) -> RowScheme:
 
     if not isinstance(name, str) or not name:
         raise InvalidSchemeError(f"scheme file {path}: 'name' must be a non-empty string")
-    if not isinstance(cycle_minutes, int) or not isinstance(base_unit_minutes, int):
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if type(cycle_minutes) is not int or type(base_unit_minutes) is not int:
         raise InvalidSchemeError(f"scheme file {path}: minute fields must be integers")
     if not isinstance(row_entries, list) or not row_entries:
         raise InvalidSchemeError(f"scheme file {path}: 'rows' must be a non-empty list")
 
     lamp_counts = []
     for i, entry in enumerate(row_entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("lamps"), int):
+        if not isinstance(entry, dict) or type(entry.get("lamps")) is not int:
             raise InvalidSchemeError(
                 f"scheme file {path}: rows[{i}] must be an object with integer 'lamps'"
             )

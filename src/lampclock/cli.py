@@ -8,18 +8,19 @@ invalid scheme file).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from .catalog import resolve_scheme
 from .codec import Meridiem, RowScheme, TimeOfDay, decode, encode, validate
 from .errors import ClockError, InvalidSchemeError
 from .render import Layout, RenderFormat, RenderSpec, parse_bits, render
-from .schemes import ShapeClass, count_shapes, enumerate_shapes, DEFAULT_SHAPE_LIMIT
-from .timesource import SystemTimeSource, TimeSource
+from .schemes import (DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, ShapeClass, count_shapes,
+                      enumerate_shapes)
+from .timesource import ScriptedTimeSource, SystemTimeSource, TimeSource
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,66 +41,31 @@ def _silence_stream(stream: TextIO) -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
-@dataclass
-class CliConfig:
-    """Resolved command-line options shared by the display commands."""
-
-    scheme_selector: str = "triangular"
-    format: RenderFormat = RenderFormat.ANSI
-    time_override: str | None = None
-    tick_interval_seconds: int = 1
-    color_mode: str = "auto"  # auto | always | never
-    layout: Layout | None = None  # None picks a layout suited to the scheme
-
-    def __post_init__(self):
-        if self.tick_interval_seconds < 1:
-            raise ValueError("tick interval must be a positive number of seconds")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        return cls(
-            scheme_selector=args.scheme,
-            format=RenderFormat(getattr(args, "format", "ansi")),
-            time_override=getattr(args, "time", None),
-            tick_interval_seconds=getattr(args, "interval", 1),
-            color_mode=getattr(args, "color", "auto"),
-            layout=Layout(args.layout) if getattr(args, "layout", None) else None,
-        )
+def _is_tty(out: TextIO) -> bool:
+    return bool(getattr(out, "isatty", lambda: False)())
 
 
-def _color_enabled(mode: str, out: TextIO) -> bool:
-    if mode == "always":
-        return True
-    if mode == "never":
-        return False
-    return "NO_COLOR" not in os.environ and bool(getattr(out, "isatty", lambda: False)())
-
-
-def _render_spec(config: CliConfig, scheme: RowScheme, out: TextIO) -> RenderSpec:
-    layout = config.layout
-    if layout is None:
+def _render_spec(args: argparse.Namespace, scheme: RowScheme, out: TextIO) -> RenderSpec:
+    if args.layout is not None:
+        layout = Layout(args.layout)
+    else:
         layout = Layout.BERLIN_BLOCKS if scheme.name == "berlin" else Layout.TRIANGLE_CENTERED
-    return RenderSpec(
-        format=config.format,
-        layout=layout,
-        use_color=_color_enabled(config.color_mode, out),
-    )
+    if args.color == "auto":
+        use_color = "NO_COLOR" not in os.environ and _is_tty(out)
+    else:
+        use_color = args.color == "always"
+    return RenderSpec(format=RenderFormat(args.format), layout=layout, use_color=use_color)
 
 
-def _display_time(config: CliConfig, source: TimeSource) -> TimeOfDay:
-    if config.time_override is not None:
-        return TimeOfDay.parse(config.time_override)
-    now = source.now()
-    assert now is not None  # the system clock is never exhausted
-    return now
-
-
-def cmd_show(config: CliConfig, out: TextIO | None = None,
+def cmd_show(args: argparse.Namespace, out: TextIO | None = None,
              source: TimeSource | None = None) -> int:
     out = out or sys.stdout
-    scheme = resolve_scheme(config.scheme_selector)
-    t = _display_time(config, source or SystemTimeSource())
-    frame = render(encode(t, scheme), scheme, _render_spec(config, scheme, out))
+    scheme = resolve_scheme(args.scheme)
+    if args.time is not None:
+        t = TimeOfDay.parse(args.time)
+    else:
+        t = (source or SystemTimeSource()).now()
+    frame = render(encode(t, scheme), scheme, _render_spec(args, scheme, out))
     print(frame, file=out)
     return EXIT_OK
 
@@ -157,61 +123,47 @@ def run_tick(
     return EXIT_OK
 
 
-class PinnedTimeSource:
-    """Endless time source pinned to one instant, for --time with tick."""
-
-    def __init__(self, t: TimeOfDay):
-        self._t = t
-
-    def now(self) -> TimeOfDay | None:
-        return self._t
-
-
 def cmd_tick(
-    config: CliConfig,
+    args: argparse.Namespace,
     out: TextIO | None = None,
     source: TimeSource | None = None,
     sleep: Callable[[float], None] = time.sleep,
     max_polls: int | None = None,
 ) -> int:
     out = out or sys.stdout
-    scheme = resolve_scheme(config.scheme_selector)
-    if config.time_override is not None:
-        source = PinnedTimeSource(TimeOfDay.parse(config.time_override))
+    scheme = resolve_scheme(args.scheme)
+    if args.time is not None:
+        source = ScriptedTimeSource(itertools.repeat(TimeOfDay.parse(args.time)))
     elif source is None:
         source = SystemTimeSource()
-    spec = _render_spec(config, scheme, out)
-    in_place = spec.format is RenderFormat.ANSI and bool(getattr(out, "isatty", lambda: False)())
-    return run_tick(scheme, spec, source, config.tick_interval_seconds, out,
+    spec = _render_spec(args, scheme, out)
+    in_place = spec.format is RenderFormat.ANSI and _is_tty(out)
+    return run_tick(scheme, spec, source, args.interval, out,
                     sleep=sleep, max_polls=max_polls, redraw_in_place=in_place)
 
 
-def cmd_decode(config: CliConfig, bits: str, meridiem: Meridiem | None,
-               out: TextIO | None = None) -> int:
+def cmd_decode(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    scheme = resolve_scheme(config.scheme_selector)
-    state = parse_bits(bits, scheme, meridiem)
+    scheme = resolve_scheme(args.scheme)
+    state = parse_bits(args.bits, scheme, args.meridiem)
     print(decode(state, scheme), file=out)
     return EXIT_OK
 
 
-def cmd_schemes(target: int, shape_filter: ShapeClass | None, limit: int,
-                out: TextIO | None = None) -> int:
+def cmd_schemes(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    for shape in enumerate_shapes(target, shape_filter, limit):
+    if args.count:
+        print(count_shapes(args.target), file=out)
+        return EXIT_OK
+    for shape in enumerate_shapes(args.target, args.shape_filter, args.limit):
         counts = ",".join(str(c) for c in shape.lamp_counts)
         print(f"[{counts}] {shape.classification.value} {shape.total_lamps}", file=out)
     return EXIT_OK
 
 
-def cmd_count(target: int, out: TextIO | None = None) -> int:
-    print(count_shapes(target), file=out or sys.stdout)
-    return EXIT_OK
-
-
-def cmd_validate(selector: str, out: TextIO | None = None) -> int:
+def cmd_validate(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    scheme = resolve_scheme(selector)
+    scheme = resolve_scheme(args.scheme_file or args.scheme)
     report = validate(scheme)
     if report.ok:
         print(f"{scheme.name}: ok", file=out)
@@ -257,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_show = sub.add_parser("show", parents=[scheme_opts, render_opts],
                             help="render one time (current or --time)")
     p_show.add_argument("--time", metavar="HH:MM", help="time to display instead of now")
-    p_show.set_defaults(func=lambda a: cmd_show(CliConfig.from_args(a)))
+    p_show.set_defaults(func=cmd_show)
 
     p_tick = sub.add_parser("tick", parents=[scheme_opts, render_opts],
                             help="live display, re-rendered every interval")
     p_tick.add_argument("--time", metavar="HH:MM", help="pin the display to a fixed time")
     p_tick.add_argument("--interval", type=_positive_int, default=1, metavar="SECONDS",
                         help="seconds between polls (default: 1)")
-    p_tick.set_defaults(func=lambda a: cmd_tick(CliConfig.from_args(a)))
+    p_tick.set_defaults(func=cmd_tick)
 
     p_decode = sub.add_parser("decode", parents=[scheme_opts],
                               help="turn a bit string like 0/11/100/1110/10000 back into a time")
@@ -274,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="morning half, for 12-hour schemes")
     half.add_argument("--pm", dest="meridiem", action="store_const", const=Meridiem.PM,
                       help="afternoon half, for 12-hour schemes")
-    p_decode.set_defaults(func=lambda a: cmd_decode(CliConfig.from_args(a), a.bits, a.meridiem))
+    p_decode.set_defaults(func=cmd_decode)
 
     p_schemes = sub.add_parser("schemes", help="enumerate lamp layouts for a state count")
     p_schemes.add_argument("target", type=int, help="number of display states to realize")
@@ -288,15 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     shape_group.add_argument("--count", action="store_true",
                              help="print only the number of layouts; not capped by --limit")
     p_schemes.add_argument("--limit", type=_positive_int, default=DEFAULT_SHAPE_LIMIT,
-                           help=f"enumeration cap (default: {DEFAULT_SHAPE_LIMIT})")
-    p_schemes.set_defaults(func=lambda a: cmd_count(a.target) if a.count
-                           else cmd_schemes(a.target, a.shape_filter, a.limit))
+                           help=f"enumeration cap (default: {DEFAULT_SHAPE_LIMIT}, "
+                                f"at most {MAX_SHAPE_LIMIT})")
+    p_schemes.set_defaults(func=cmd_schemes)
 
     p_validate = sub.add_parser("validate", parents=[scheme_opts],
                                 help="check a scheme's structural rules")
     p_validate.add_argument("scheme_file", nargs="?", default=None,
                             help="scheme file to check (overrides --scheme)")
-    p_validate.set_defaults(func=lambda a: cmd_validate(a.scheme_file or a.scheme))
+    p_validate.set_defaults(func=cmd_validate)
 
     return parser
 

@@ -148,10 +148,10 @@ class DisplayState:
             raise ValueError(f"digits must be non-negative: {self.digits}")
 
 
-def derive_units(lamp_counts: list[int] | tuple[int, ...], base_unit: int = 1) -> list[int]:
+def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
     """Compute per-row unit values from lamp counts, top row first.
 
-    The bottom row is worth ``base_unit``; every row above is worth
+    The bottom row is worth one base unit; every row above is worth
     ``(lamps_below + 1)`` times the row below it, which makes each row's
     full value exactly one unit short of a single lamp one row up.
     """
@@ -160,10 +160,8 @@ def derive_units(lamp_counts: list[int] | tuple[int, ...], base_unit: int = 1) -
         raise InvalidSchemeError("lamp_counts must not be empty")
     if any(c < 1 for c in counts):
         raise InvalidSchemeError(f"every row needs at least one lamp: {counts}")
-    if base_unit < 1:
-        raise InvalidSchemeError(f"base_unit must be positive, got {base_unit}")
 
-    units = [base_unit]
+    units = [1]
     for lamps in reversed(counts[1:]):
         units.append((lamps + 1) * units[-1])
     units.reverse()
@@ -239,9 +237,15 @@ def _check_state(state: DisplayState, scheme: RowScheme) -> None:
             raise InvalidStateError(
                 f"row {i + 1} shows {digit} lit lamps but only has {row.lamp_count}"
             )
-    if scheme.has_meridiem and state.meridiem is None:
-        raise InvalidStateError(f"scheme {scheme.name!r} requires an AM/PM flag")
-    if not scheme.has_meridiem and state.meridiem is not None:
+    _check_meridiem(scheme, state.meridiem)
+
+
+def _check_meridiem(scheme: RowScheme, meridiem: Meridiem | None) -> None:
+    if scheme.has_meridiem and meridiem is None:
+        raise InvalidStateError(
+            f"scheme {scheme.name!r} is a 12-hour face; an AM/PM flag is required"
+        )
+    if not scheme.has_meridiem and meridiem is not None:
         raise InvalidStateError(f"scheme {scheme.name!r} does not use an AM/PM flag")
 
 

@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import DisplayState, Meridiem, RowScheme, _check_state, decode
-from .errors import BitsParseError, InvalidStateError, MonotoneFillError, RenderError
+from .codec import DisplayState, Meridiem, RowScheme, _check_meridiem, _check_state, decode
+from .errors import BitsParseError, MonotoneFillError, RenderError
 
 
 class RenderFormat(Enum):
@@ -65,6 +65,11 @@ class RenderSpec:
         for glyph in (self.lit_glyph, self.unlit_glyph):
             if len(glyph) != 1 or not glyph.isprintable() or glyph.isspace():
                 raise ValueError(f"glyph must be a single visible character: {glyph!r}")
+        for color in (self.am_color, self.pm_color):
+            if color not in ANSI_COLOR_CODES:
+                raise RenderError(
+                    f"unknown terminal color {color!r} (choose from {', '.join(ANSI_COLOR_CODES)})"
+                )
 
 
 def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
@@ -79,15 +84,11 @@ def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     return _render_svg(state, scheme, spec)
 
 
-def _row_bits(state: DisplayState, scheme: RowScheme) -> list[str]:
-    return [
+def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
+    return "/".join([
         "1" * digit + "0" * (row.lamp_count - digit)
         for digit, row in zip(state.digits, scheme.rows)
-    ]
-
-
-def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
-    return "/".join(_row_bits(state, scheme))
+    ])
 
 
 def _render_json(state: DisplayState, scheme: RowScheme) -> str:
@@ -101,91 +102,74 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
     )
 
 
-def _lit_color(state: DisplayState, scheme: RowScheme, spec: RenderSpec, row: int, lamp: int) -> str:
-    if state.meridiem is Meridiem.AM:
-        return spec.am_color
-    if state.meridiem is Meridiem.PM:
-        return spec.pm_color
-    if scheme.rows[row].lamp_count == 11 and (lamp + 1) % 3 == 0:
-        return ACCENT_COLOR
-    return DEFAULT_LIT_COLOR
-
-
-def _ansi_paint(glyph: str, color: str) -> str:
-    try:
-        code = ANSI_COLOR_CODES[color]
-    except KeyError:
-        raise RenderError(
-            f"unknown terminal color {color!r} (choose from {', '.join(ANSI_COLOR_CODES)})"
-        ) from None
-    return f"\x1b[{code}m{glyph}\x1b[0m"
-
-
-def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
+def _cells(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
+    """Yield ``(row, lamp, lit, color)`` for every lamp, top row first,
+    with 0-based indices; ``color`` is the lit color, None when unlit."""
     if spec.layout is Layout.BERLIN_BLOCKS and len(scheme.rows) != 4:
         raise RenderError(
             f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
         )
-
-    lines = []
-    for k, row in enumerate(scheme.rows):
-        cells = []
+    meridiem_color = {Meridiem.AM: spec.am_color, Meridiem.PM: spec.pm_color}.get(state.meridiem)
+    for k, (digit, row) in enumerate(zip(state.digits, scheme.rows)):
         for i in range(row.lamp_count):
-            lit = i < state.digits[k]
-            glyph = spec.lit_glyph if lit else spec.unlit_glyph
-            if lit and spec.use_color:
-                glyph = _ansi_paint(glyph, _lit_color(state, scheme, spec, k, i))
-            cells.append(f"[{glyph}]" if spec.layout is Layout.BERLIN_BLOCKS else glyph)
-        joiner = "" if spec.layout is Layout.BERLIN_BLOCKS else " "
-        lines.append((joiner.join(cells), row.lamp_count))
+            if i >= digit:
+                yield k, i, False, None
+            elif meridiem_color:
+                yield k, i, True, meridiem_color
+            elif row.lamp_count == 11 and (i + 1) % 3 == 0:
+                yield k, i, True, ACCENT_COLOR
+            else:
+                yield k, i, True, DEFAULT_LIT_COLOR
 
-    if spec.layout is Layout.LEFT_ALIGNED:
-        return "\n".join(text for text, _ in lines)
+
+def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
+    blocks = spec.layout is Layout.BERLIN_BLOCKS
+    lines: list[list[str]] = [[] for _ in scheme.rows]
+    for k, _, lit, color in _cells(state, scheme, spec):
+        glyph = spec.lit_glyph if lit else spec.unlit_glyph
+        if lit and spec.use_color:
+            glyph = f"\x1b[{ANSI_COLOR_CODES[color]}m{glyph}\x1b[0m"
+        lines[k].append(f"[{glyph}]" if blocks else glyph)
 
     # Center each row over the widest row (the bottom row of a triangle).
     # Padding is computed from lamp counts, not rendered text, so that
     # invisible ANSI escape bytes do not skew the alignment.
-    cell_width = 3 if spec.layout is Layout.BERLIN_BLOCKS else 2
+    cell_width = 3 if blocks else 2
     max_lamps = max(row.lamp_count for row in scheme.rows)
+    joiner = "" if blocks else " "
     padded = []
-    for text, lamps in lines:
-        pad = (max_lamps - lamps) * cell_width // 2
-        padded.append(" " * pad + text)
+    for row, cells in zip(scheme.rows, lines):
+        pad = 0 if spec.layout is Layout.LEFT_ALIGNED else (max_lamps - row.lamp_count) * cell_width // 2
+        padded.append(" " * pad + joiner.join(cells))
     return "\n".join(padded)
 
 
 def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
-    if spec.layout is Layout.BERLIN_BLOCKS and len(scheme.rows) != 4:
-        raise RenderError(
-            f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
-        )
-
     pitch = SVG_PITCH
     max_lamps = max(row.lamp_count for row in scheme.rows)
     width = max_lamps * pitch
     height = len(scheme.rows) * pitch
 
     shapes = []
-    for k, row in enumerate(scheme.rows):
+    for k, i, lit, color in _cells(state, scheme, spec):
+        row = scheme.rows[k]
         y = k * pitch
-        for i in range(row.lamp_count):
-            lit = i < state.digits[k]
-            fill = _lit_color(state, scheme, spec, k, i) if lit else UNLIT_SVG_FILL
-            if spec.layout is Layout.BERLIN_BLOCKS:
-                cell = width / row.lamp_count
-                shapes.append(
-                    f'<rect x="{i * cell + 2:g}" y="{y + 2}" '
-                    f'width="{cell - 4:g}" height="{pitch - 4}" fill="{fill}"/>'
-                )
+        fill = color if lit else UNLIT_SVG_FILL
+        if spec.layout is Layout.BERLIN_BLOCKS:
+            cell = width / row.lamp_count
+            shapes.append(
+                f'<rect x="{i * cell + 2:g}" y="{y + 2}" '
+                f'width="{cell - 4:g}" height="{pitch - 4}" fill="{fill}"/>'
+            )
+        else:
+            if spec.layout is Layout.TRIANGLE_CENTERED:
+                x_origin = (max_lamps - row.lamp_count) * pitch / 2
             else:
-                if spec.layout is Layout.TRIANGLE_CENTERED:
-                    x_origin = (max_lamps - row.lamp_count) * pitch / 2
-                else:
-                    x_origin = 0.0
-                cx = x_origin + i * pitch + pitch / 2
-                shapes.append(
-                    f'<circle cx="{cx:g}" cy="{y + pitch / 2:g}" r="{pitch * 2 // 5}" fill="{fill}"/>'
-                )
+                x_origin = 0.0
+            cx = x_origin + i * pitch + pitch / 2
+            shapes.append(
+                f'<circle cx="{cx:g}" cy="{y + pitch / 2:g}" r="{pitch * 2 // 5}" fill="{fill}"/>'
+            )
 
     body = "\n".join(f"  {s}" for s in shapes)
     return (
@@ -223,10 +207,5 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
             )
         digits.append(ones)
 
-    if scheme.has_meridiem and meridiem is None:
-        raise InvalidStateError(
-            f"scheme {scheme.name!r} is a 12-hour face; an AM/PM flag is required to decode"
-        )
-    if not scheme.has_meridiem and meridiem is not None:
-        raise InvalidStateError(f"scheme {scheme.name!r} does not use an AM/PM flag")
+    _check_meridiem(scheme, meridiem)
     return DisplayState(tuple(digits), meridiem)

@@ -22,9 +22,10 @@ from math import comb, gcd, prod
 
 from .codec import RowScheme
 from .catalog import make_scheme
-from .errors import EnumerationCapError, InvalidSchemeError
+from .errors import EnumerationCapError
 
 DEFAULT_SHAPE_LIMIT = 100_000
+MAX_SHAPE_LIMIT = 1_000_000  # larger limits are lowered to this, bounding memory
 MAX_TARGET = 2**64  # targets must be below this to be factored in bounded time
 
 
@@ -194,11 +195,12 @@ def enumerate_shapes(
     restricted to one geometry class. ``target_states`` must lie in
     [2, 2**64), else :class:`ValueError`. The cap applies to the count of
     all shapes before filtering: when :func:`count_shapes` exceeds
-    ``limit``, :class:`EnumerationCapError` is raised before any shape is
-    built.
+    ``limit``, or ``MAX_SHAPE_LIMIT`` if that is smaller,
+    :class:`EnumerationCapError` is raised before any shape is built.
     """
     _check_target(target_states)
     factors = _factorize(target_states)
+    limit = min(limit, MAX_SHAPE_LIMIT)
     if _shape_count(factors) > limit:
         raise EnumerationCapError(f"more than {limit} shapes for target {target_states}")
 
@@ -245,14 +247,9 @@ def shape_to_scheme(
 ) -> RowScheme:
     """Realize a shape as a concrete, validated scheme.
 
-    The shape's capacity in minutes must cover the requested cycle.
+    The shape's capacity in minutes must cover the requested cycle, else
+    :class:`InvalidSchemeError`.
     """
-    cap_minutes = shape.state_count * base_unit
-    if cap_minutes < cycle_minutes:
-        raise InvalidSchemeError(
-            f"shape {list(shape.lamp_counts)} covers {cap_minutes} minutes, "
-            f"cycle needs {cycle_minutes}"
-        )
     if name is None:
         name = "rows-" + "-".join(str(c) for c in shape.lamp_counts)
     return make_scheme(name, shape.lamp_counts, cycle_minutes, base_unit)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from datetime import datetime
+from itertools import islice
 from typing import Iterable, Protocol
 
 from .codec import TimeOfDay
+
+_READ_AHEAD = 4096  # times read from a script at a time, bounding the memory of an endless one
 
 
 class TimeSource(Protocol):
@@ -26,17 +29,20 @@ class SystemTimeSource:
 
 
 class ScriptedTimeSource:
-    """Replays a fixed sequence of times, then reports exhaustion."""
+    """Replays a sequence of times, which may be endless, then reports
+    exhaustion. Strings are parsed as ``HH:MM`` when they are read.
+
+    Times are read ahead in batches, so that a poll of the tick loop costs
+    a list pop rather than a step of the caller's iterator.
+    """
 
     def __init__(self, times: Iterable[TimeOfDay | str]):
-        self._times = [
-            t if isinstance(t, TimeOfDay) else TimeOfDay.parse(t) for t in times
-        ]
-        self._index = 0
+        self._times = iter(times)
+        self._ahead: list[TimeOfDay] = []
 
     def now(self) -> TimeOfDay | None:
-        if self._index >= len(self._times):
-            return None
-        t = self._times[self._index]
-        self._index += 1
-        return t
+        if not self._ahead:
+            self._ahead = [t if isinstance(t, TimeOfDay) else TimeOfDay.parse(t)
+                           for t in islice(self._times, _READ_AHEAD)]
+            self._ahead.reverse()
+        return self._ahead.pop() if self._ahead else None

@@ -74,6 +74,9 @@ def test_load_scheme_capacity_shortfall_rejected(tmp_path):
         {"name": "x", "cycle_minutes": 720, "rows": [{"bulbs": 2}]},
         {"name": "x", "cycle_minutes": "720", "rows": [{"lamps": 1}]},
         {"name": "", "cycle_minutes": 720, "rows": [{"lamps": 1}]},
+        {"name": "x", "cycle_minutes": 2, "rows": [{"lamps": True}]},  # JSON booleans
+        {"name": "x", "cycle_minutes": True, "rows": [{"lamps": 1}]},
+        {"name": "x", "cycle_minutes": 2, "base_unit_minutes": True, "rows": [{"lamps": 1}]},
     ],
 )
 def test_load_scheme_malformed_payloads(tmp_path, payload):

@@ -1,16 +1,16 @@
 import io
+import itertools
 import json
 import time
 
 import pytest
 
-from lampclock import Meridiem, ScriptedTimeSource, TimeOfDay
+from lampclock import ScriptedTimeSource, TimeOfDay
 from lampclock.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SCHEME,
-    CliConfig,
-    RenderFormat,
+    build_parser,
     cmd_decode,
     cmd_show,
     cmd_tick,
@@ -23,8 +23,12 @@ class TtyBuffer(io.StringIO):
         return True
 
 
-def bits_config(scheme="triangular", time=None):
-    return CliConfig(scheme_selector=scheme, format=RenderFormat.BITS, time_override=time)
+def parse(*argv):
+    return build_parser().parse_args(argv)
+
+
+def bits_args(command="show", scheme="triangular", time=None):
+    return parse(command, "--scheme", scheme, "--format", "bits", *(["--time", time] if time else []))
 
 
 class TestShow:
@@ -80,13 +84,13 @@ class TestShow:
     def test_no_color_respected_on_tty(self, monkeypatch):
         monkeypatch.setenv("NO_COLOR", "1")
         out = TtyBuffer()
-        assert cmd_show(CliConfig(time_override="04:49"), out=out) == EXIT_OK
+        assert cmd_show(parse("show", "--time", "04:49"), out=out) == EXIT_OK
         assert "\x1b[" not in out.getvalue()
 
     def test_tty_colors_by_default(self, monkeypatch):
         monkeypatch.delenv("NO_COLOR", raising=False)
         out = TtyBuffer()
-        assert cmd_show(CliConfig(time_override="04:49"), out=out) == EXIT_OK
+        assert cmd_show(parse("show", "--time", "04:49"), out=out) == EXIT_OK
         assert "\x1b[32m" in out.getvalue()
 
 
@@ -162,6 +166,8 @@ class TestSchemes:
         (["schemes", str(2**64)], EXIT_INPUT, "", "2**64"),
         (["schemes", str(2**64), "--count"], EXIT_INPUT, "", "2**64"),
         (["schemes", str(2**61 - 1)], EXIT_OK, "[2305843009213693950] IRREGULAR 2305843009213693950\n", ""),
+        (["schemes", "1000000000000000000", "--limit", "10000000000000000000"], EXIT_INPUT, "",
+         "more than 1000000 shapes"),
     ])
     def test_huge_targets_finish_quickly(self, argv, code, stdout, stderr, capsys):
         start = time.perf_counter()
@@ -192,9 +198,9 @@ class TestValidate:
 class TestTick:
     def test_noon_boundary_ansi(self):
         out = io.StringIO()
-        config = CliConfig(color_mode="always")
+        args = parse("tick", "--color", "always")
         source = ScriptedTimeSource(["11:59", "12:00"])
-        assert cmd_tick(config, out=out, source=source, sleep=lambda s: None) == EXIT_OK
+        assert cmd_tick(args, out=out, source=source, sleep=lambda s: None) == EXIT_OK
         frames = out.getvalue().splitlines()
         first, second = "\n".join(frames[:5]), "\n".join(frames[5:])
         assert first.count("\x1b[32m") == 15  # all 15 lamps on, morning color
@@ -202,9 +208,9 @@ class TestTick:
 
     def test_noon_boundary_meridiem(self):
         out = io.StringIO()
-        config = CliConfig(format=RenderFormat.JSON)
+        args = parse("tick", "--format", "json")
         source = ScriptedTimeSource(["11:59", "12:00"])
-        cmd_tick(config, out=out, source=source, sleep=lambda s: None)
+        cmd_tick(args, out=out, source=source, sleep=lambda s: None)
         docs = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [d["meridiem"] for d in docs] == ["AM", "PM"]
         assert docs[0]["digits"] == [1, 2, 3, 4, 5]
@@ -212,9 +218,9 @@ class TestTick:
 
     def test_midnight_wrap(self):
         out = io.StringIO()
-        config = CliConfig(color_mode="always")
+        args = parse("tick", "--color", "always")
         source = ScriptedTimeSource(["23:59", "00:00"])
-        cmd_tick(config, out=out, source=source, sleep=lambda s: None)
+        cmd_tick(args, out=out, source=source, sleep=lambda s: None)
         frames = out.getvalue().splitlines()
         first, second = "\n".join(frames[:5]), "\n".join(frames[5:])
         assert first.count("\x1b[31m") == 15  # all on, afternoon color
@@ -229,10 +235,9 @@ class TestTick:
         monkeypatch.setattr(cli_module, "encode", lambda t, s: calls.append(t) or real_encode(t, s))
 
         out = io.StringIO()
-        config = bits_config(time="09:15")
-        config.tick_interval_seconds = 60
+        args = parse("tick", "--format", "bits", "--time", "09:15", "--interval", "60")
         sleeps = []
-        assert cmd_tick(config, out=out, sleep=sleeps.append, max_polls=3) == EXIT_OK
+        assert cmd_tick(args, out=out, sleep=sleeps.append, max_polls=3) == EXIT_OK
         assert out.getvalue().splitlines() == [expected_frame] * 3
         assert len(calls) == 1  # re-encoded only once for an unchanged minute
         assert sleeps == [60, 60]
@@ -242,9 +247,9 @@ class TestTick:
             for minute in (0, 289, 631, 719, 720, 1439):
                 text = str(TimeOfDay(minute))
                 shown = io.StringIO()
-                cmd_show(bits_config(scheme, text), out=shown)
+                cmd_show(bits_args("show", scheme, text), out=shown)
                 ticked = io.StringIO()
-                cmd_tick(bits_config(scheme), out=ticked,
+                cmd_tick(bits_args("tick", scheme), out=ticked,
                          source=ScriptedTimeSource([text]), sleep=lambda s: None)
                 assert ticked.getvalue() == shown.getvalue()
 
@@ -254,15 +259,28 @@ class TestTick:
         def interrupting_sleep(seconds):
             raise KeyboardInterrupt
 
-        config = CliConfig()
+        args = parse("tick")
         source = ScriptedTimeSource(["10:00", "10:01", "10:02"])
-        assert cmd_tick(config, out=out, source=source, sleep=interrupting_sleep) == EXIT_OK
+        assert cmd_tick(args, out=out, source=source, sleep=interrupting_sleep) == EXIT_OK
         text = out.getvalue()
         assert text.startswith("\x1b[?25l")  # cursor hidden while running
         assert text.endswith("\x1b[?25h")  # and restored on the way out
 
     def test_interval_must_be_positive(self):
         assert main(["tick", "--interval", "0"]) == EXIT_INPUT
+
+    def test_scripted_source_accepts_endless_iterables(self):
+        source = ScriptedTimeSource(itertools.cycle(["23:59", TimeOfDay(0)]))
+        assert [str(source.now()) for _ in range(5)] == ["23:59", "00:00", "23:59", "00:00", "23:59"]
+        out = io.StringIO()
+        cmd_tick(bits_args("tick"), out=out, source=source, sleep=lambda s: None, max_polls=10_000)
+        assert len(out.getvalue().splitlines()) == 10_000
+
+    def test_scripted_source_replays_every_time_once(self):
+        times = [TimeOfDay(m % 1440) for m in range(10_000)]
+        source = ScriptedTimeSource(iter(times))
+        assert list(iter(source.now, None)) == times
+        assert source.now() is None
 
 
 def strip_escapes(text):
@@ -273,7 +291,7 @@ def strip_escapes(text):
 
 def render_bits_for(text, scheme="triangular"):
     out = io.StringIO()
-    cmd_show(bits_config(scheme, text), out=out)
+    cmd_show(bits_args("show", scheme, text), out=out)
     return out.getvalue().strip()
 
 
@@ -282,12 +300,13 @@ def test_cli_decode_show_identity_every_minute():
         for minutes in range(1440):
             t = TimeOfDay(minutes)
             shown = io.StringIO()
-            assert cmd_show(bits_config(scheme, str(t)), out=shown) == EXIT_OK
-            meridiem = None
+            assert cmd_show(bits_args("show", scheme, str(t)), out=shown) == EXIT_OK
+            half = []
             if scheme == "triangular":
-                meridiem = Meridiem.AM if minutes < 720 else Meridiem.PM
+                half = ["--am"] if minutes < 720 else ["--pm"]
             decoded = io.StringIO()
-            assert cmd_decode(bits_config(scheme), shown.getvalue().strip(), meridiem, out=decoded) == EXIT_OK
+            args = parse("decode", shown.getvalue().strip(), "--scheme", scheme, *half)
+            assert cmd_decode(args, out=decoded) == EXIT_OK
             assert decoded.getvalue().strip() == str(t)
 
 

@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
 from lampclock import (
     BERLIN,
@@ -53,32 +52,29 @@ class TestTimeOfDay:
 class TestDeriveUnits:
     def test_triangular_row_values(self):
         # 6h / 2h / 30min / 6min / 1min
-        assert derive_units([1, 2, 3, 4, 5], 1) == [360, 120, 30, 6, 1]
+        assert derive_units([1, 2, 3, 4, 5]) == [360, 120, 30, 6, 1]
 
     def test_berlin_row_values(self):
         # 5h / 1h / 5min / 1min
-        assert derive_units([4, 4, 11, 4], 1) == [300, 60, 5, 1]
+        assert derive_units([4, 4, 11, 4]) == [300, 60, 5, 1]
 
     def test_single_row_is_base_unit(self):
-        assert derive_units([3], 1) == [1]
-
-    def test_scaled_base_unit(self):
-        assert derive_units([1, 2, 3, 4, 5], 2) == [720, 240, 60, 12, 2]
+        assert derive_units([3]) == [1]
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidSchemeError):
-            derive_units([], 1)
+            derive_units([])
 
     @pytest.mark.parametrize("counts", [[0], [1, 0, 2], [-3]])
     def test_nonpositive_lamp_count_rejected(self, counts):
         with pytest.raises(InvalidSchemeError):
-            derive_units(counts, 1)
+            derive_units(counts)
 
-    @given(lamp_count_lists, st.integers(min_value=1, max_value=10))
-    def test_recurrence_holds(self, counts, base):
-        units = derive_units(counts, base)
+    @given(lamp_count_lists)
+    def test_recurrence_holds(self, counts):
+        units = derive_units(counts)
         assert len(units) == len(counts)
-        assert units[-1] == base
+        assert units[-1] == 1
         for k in range(1, len(units)):
             assert units[k - 1] == (counts[k] + 1) * units[k]
 

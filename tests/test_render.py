@@ -162,8 +162,8 @@ class TestAnsi:
             render(state_at("04:49"), TRIANGULAR, spec)
 
     def test_unknown_terminal_color(self):
-        spec = RenderSpec(am_color="chartreuse")
         with pytest.raises(RenderError):
+            spec = RenderSpec(am_color="chartreuse")
             render(state_at("04:49"), TRIANGULAR, spec)
 
 
@@ -172,6 +172,14 @@ class TestRenderSpecValidation:
     def test_rejects_bad_glyphs(self, glyph):
         with pytest.raises(ValueError):
             RenderSpec(lit_glyph=glyph)
+
+    @pytest.mark.parametrize("field", ["am_color", "pm_color"])
+    def test_svg_color_injection_rejected(self, field):
+        # colors are checked against the terminal names before any format uses them
+        with pytest.raises(RenderError):
+            spec = RenderSpec(format=RenderFormat.SVG, **{field: '"/><script>alert(1)</script><x a="'})
+            render(state_at("04:49"), TRIANGULAR, spec)
+            render(state_at("16:49"), TRIANGULAR, spec)
 
 
 class TestJson:
