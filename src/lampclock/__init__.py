@@ -31,18 +31,22 @@ from .errors import (
     RenderError,
 )
 from .render import Layout, RenderFormat, RenderSpec, parse_bits, render
-from .schemes import (
-    SchemeShape,
-    ShapeClass,
-    classify,
-    count_shapes,
-    enumerate_shapes,
-    is_triangular_feasible,
-    shape_to_scheme,
-)
 from .timesource import ScriptedTimeSource, SystemTimeSource, TimeSource
 
 __version__ = "0.1.0"
+
+# Served by __getattr__ (PEP 562), so that .schemes loads on first use only.
+_SCHEMES_NAMES = {"SchemeShape", "ShapeClass", "classify", "count_shapes", "enumerate_shapes",
+                  "is_triangular_feasible", "shape_to_scheme"}
+
+
+def __getattr__(name: str):
+    if name not in _SCHEMES_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import schemes
+
+    value = globals()[name] = getattr(schemes, name)
+    return value
 
 __all__ = [
     "BERLIN",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .codec import RowScheme, RowSpec, derive_units, validate
+from .codec import MAX_LAMPS_PER_ROW, RowScheme, RowSpec, derive_units, validate
 from .errors import InvalidSchemeError
 
 
@@ -80,11 +80,13 @@ def load_scheme(path: str | Path) -> RowScheme:
 
     lamp_counts = []
     for i, entry in enumerate(row_entries):
-        if not isinstance(entry, dict) or type(entry.get("lamps")) is not int:
+        lamps = entry.get("lamps") if isinstance(entry, dict) else None
+        if type(lamps) is not int or lamps > MAX_LAMPS_PER_ROW:
             raise InvalidSchemeError(
-                f"scheme file {path}: rows[{i}] must be an object with integer 'lamps'"
+                f"scheme file {path}: rows[{i}] must be an object with integer 'lamps', "
+                f"at most {MAX_LAMPS_PER_ROW}"
             )
-        lamp_counts.append(entry["lamps"])
+        lamp_counts.append(lamps)
 
     return make_scheme(name, lamp_counts, cycle_minutes, base_unit_minutes)
 

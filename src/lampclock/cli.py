@@ -15,11 +15,10 @@ import time
 from typing import Callable, TextIO
 
 from .catalog import resolve_scheme
-from .codec import Meridiem, RowScheme, TimeOfDay, decode, encode, validate
+from .codec import (DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, Meridiem, RowScheme, TimeOfDay, decode,
+                    encode, validate)
 from .errors import ClockError, InvalidSchemeError
 from .render import Layout, RenderFormat, RenderSpec, parse_bits, render
-from .schemes import (DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, ShapeClass, count_shapes,
-                      enumerate_shapes)
 from .timesource import ScriptedTimeSource, SystemTimeSource, TimeSource
 
 EXIT_OK = 0
@@ -150,12 +149,22 @@ def cmd_decode(args: argparse.Namespace, out: TextIO | None = None) -> int:
     return EXIT_OK
 
 
+def enumerate_shapes(*args, **kwargs):
+    """Loads ``lampclock.schemes`` on the first call; a module attribute,
+    as the other library calls here are, so that callers can wrap it."""
+    from .schemes import enumerate_shapes
+    return enumerate_shapes(*args, **kwargs)
+
+
 def cmd_schemes(args: argparse.Namespace, out: TextIO | None = None) -> int:
+    from .schemes import ShapeClass, count_shapes
+
     out = out or sys.stdout
     if args.count:
         print(count_shapes(args.target), file=out)
         return EXIT_OK
-    for shape in enumerate_shapes(args.target, args.shape_filter, args.limit):
+    shape_filter = args.shape_filter and ShapeClass(args.shape_filter)
+    for shape in enumerate_shapes(args.target, shape_filter, args.limit):
         counts = ",".join(str(c) for c in shape.lamp_counts)
         print(f"[{counts}] {shape.classification.value} {shape.total_lamps}", file=out)
     return EXIT_OK
@@ -231,12 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_schemes = sub.add_parser("schemes", help="enumerate lamp layouts for a state count")
     p_schemes.add_argument("target", type=int, help="number of display states to realize")
     shape_group = p_schemes.add_mutually_exclusive_group()
-    shape_group.add_argument("--triangular", dest="shape_filter", action="store_const",
-                             const=ShapeClass.TRIANGULAR)
-    shape_group.add_argument("--rectangular", dest="shape_filter", action="store_const",
-                             const=ShapeClass.RECTANGULAR)
-    shape_group.add_argument("--irregular", dest="shape_filter", action="store_const",
-                             const=ShapeClass.IRREGULAR)
+    for shape_class in ("TRIANGULAR", "RECTANGULAR", "IRREGULAR"):  # ShapeClass values
+        shape_group.add_argument(f"--{shape_class.lower()}", dest="shape_filter",
+                                 action="store_const", const=shape_class)
     shape_group.add_argument("--count", action="store_true",
                              help="print only the number of layouts; not capped by --limit")
     p_schemes.add_argument("--limit", type=_positive_int, default=DEFAULT_SHAPE_LIMIT,

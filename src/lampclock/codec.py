@@ -15,15 +15,53 @@ the full day on the lamps alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from math import prod
+from operator import attrgetter
+from typing import Iterable
 
 from .errors import InvalidSchemeError, InvalidStateError
 
 MINUTES_PER_DAY = 1440
 HALF_DAY = 720
+
+MAX_LAMPS_PER_ROW = 1440  # one-minute lamps enough for a day; bounds loading and drawing
+DEFAULT_SHAPE_LIMIT = 100_000
+MAX_SHAPE_LIMIT = 1_000_000  # larger enumeration limits are lowered to this, bounding memory
+
+_set = object.__setattr__  # how a _Record's __init__ fills its fields
+
+
+class _Record:
+    """Immutable value whose fields are its ``__slots__``, in constructor
+    order: equality and hashing over the field tuple, a dataclass-style
+    repr, and pickling and copying through the constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Meridiem(Enum):
@@ -31,26 +69,25 @@ class Meridiem(Enum):
     PM = "PM"
 
 
-@dataclass(frozen=True)
-class RowSpec:
+class RowSpec(_Record):
     """One row of lamps: how many there are and what each is worth.
 
     ``unit_value`` is expressed in the scheme's base units, so the bottom
     row of a well-formed scheme always has ``unit_value == 1``.
     """
 
-    lamp_count: int
-    unit_value: int
+    __slots__ = ("lamp_count", "unit_value")
 
-    def __post_init__(self):
-        if self.lamp_count < 1:
-            raise InvalidSchemeError(f"row needs at least one lamp, got {self.lamp_count}")
-        if self.unit_value < 1:
-            raise InvalidSchemeError(f"unit value must be positive, got {self.unit_value}")
+    def __init__(self, lamp_count: int, unit_value: int):
+        if lamp_count < 1:
+            raise InvalidSchemeError(f"row needs at least one lamp, got {lamp_count}")
+        if unit_value < 1:
+            raise InvalidSchemeError(f"unit value must be positive, got {unit_value}")
+        _set(self, "lamp_count", lamp_count)
+        _set(self, "unit_value", unit_value)
 
 
-@dataclass(frozen=True)
-class RowScheme:
+class RowScheme(_Record):
     """An ordered stack of lamp rows, top row first.
 
     Construction only checks local well-formedness (non-empty, positive
@@ -60,19 +97,21 @@ class RowScheme:
     unconstructable.
     """
 
-    name: str
-    rows: tuple[RowSpec, ...]
-    cycle_minutes: int
-    base_unit_minutes: int = 1
+    __slots__ = ("name", "rows", "cycle_minutes", "base_unit_minutes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.rows:
+    def __init__(self, name: str, rows: Iterable[RowSpec], cycle_minutes: int,
+                 base_unit_minutes: int = 1):
+        rows = tuple(rows)
+        if not rows:
             raise InvalidSchemeError("scheme needs at least one row")
-        if self.cycle_minutes < 1:
+        if cycle_minutes < 1:
             raise InvalidSchemeError("cycle_minutes must be positive")
-        if self.base_unit_minutes < 1:
+        if base_unit_minutes < 1:
             raise InvalidSchemeError("base_unit_minutes must be positive")
+        _set(self, "name", name)
+        _set(self, "rows", rows)
+        _set(self, "cycle_minutes", cycle_minutes)
+        _set(self, "base_unit_minutes", base_unit_minutes)
 
     @property
     def lamp_counts(self) -> tuple[int, ...]:
@@ -84,16 +123,15 @@ class RowScheme:
         return self.cycle_minutes == HALF_DAY
 
 
-@dataclass(frozen=True)
-class TimeOfDay:
+class TimeOfDay(_Record):
     """A wall-clock time at one-minute resolution."""
 
-    minutes_since_midnight: int
+    __slots__ = ("minutes_since_midnight",)
 
-    def __post_init__(self):
-        m = self.minutes_since_midnight
-        if not 0 <= m < MINUTES_PER_DAY:
-            raise ValueError(f"minutes_since_midnight out of range [0, 1440): {m}")
+    def __init__(self, minutes_since_midnight: int):
+        if not 0 <= minutes_since_midnight < MINUTES_PER_DAY:
+            raise ValueError(f"minutes_since_midnight out of range [0, 1440): {minutes_since_midnight}")
+        _set(self, "minutes_since_midnight", minutes_since_midnight)
 
     @classmethod
     def from_hm(cls, hour: int, minute: int) -> "TimeOfDay":
@@ -130,8 +168,7 @@ class TimeOfDay:
         return f"{self.hour:02d}:{self.minute:02d}"
 
 
-@dataclass(frozen=True)
-class DisplayState:
+class DisplayState(_Record):
     """Lit-lamp counts per row, top row first, plus optional meridiem.
 
     Digits are counts, not bit patterns: a digit of 3 means the three
@@ -139,13 +176,14 @@ class DisplayState:
     cannot be represented at all.
     """
 
-    digits: tuple[int, ...]
-    meridiem: Meridiem | None = None
+    __slots__ = ("digits", "meridiem")
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if any(d < 0 for d in self.digits):
-            raise ValueError(f"digits must be non-negative: {self.digits}")
+    def __init__(self, digits: Iterable[int], meridiem: Meridiem | None = None):
+        digits = tuple(digits)
+        if min(digits, default=0) < 0:
+            raise ValueError(f"digits must be non-negative: {digits}")
+        _set(self, "digits", digits)
+        _set(self, "meridiem", meridiem)
 
 
 def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
@@ -249,18 +287,22 @@ def _check_meridiem(scheme: RowScheme, meridiem: Meridiem | None) -> None:
         raise InvalidStateError(f"scheme {scheme.name!r} does not use an AM/PM flag")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One broken scheme rule. ``row`` is 1-based where applicable."""
 
-    kind: str  # "recurrence" | "bottom-unit" | "capacity"
-    row: int | None
-    message: str
+    __slots__ = ("kind", "row", "message")
+
+    def __init__(self, kind: str, row: int | None, message: str):
+        _set(self, "kind", kind)  # "recurrence" | "bottom-unit" | "capacity"
+        _set(self, "row", row)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(_Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -9,10 +9,10 @@ of an unlit one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
-from .codec import DisplayState, Meridiem, RowScheme, _check_meridiem, _check_state, decode
+from .codec import (MAX_LAMPS_PER_ROW, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
+                    TimeOfDay, _check_meridiem, _check_state, _Record, _set, decode_minutes)
 from .errors import BitsParseError, MonotoneFillError, RenderError
 
 
@@ -49,27 +49,29 @@ UNLIT_SVG_FILL = "#dddddd"
 SVG_PITCH = 40
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Record):
     """Output format plus styling knobs for a render."""
 
-    format: RenderFormat = RenderFormat.ANSI
-    lit_glyph: str = "●"
-    unlit_glyph: str = "○"
-    am_color: str = "green"
-    pm_color: str = "red"
-    layout: Layout = Layout.TRIANGLE_CENTERED
-    use_color: bool = True
+    __slots__ = ("format", "lit_glyph", "unlit_glyph", "am_color", "pm_color", "layout", "use_color")
 
-    def __post_init__(self):
-        for glyph in (self.lit_glyph, self.unlit_glyph):
+    def __init__(self, format: RenderFormat = RenderFormat.ANSI, lit_glyph: str = "●",
+                 unlit_glyph: str = "○", am_color: str = "green", pm_color: str = "red",
+                 layout: Layout = Layout.TRIANGLE_CENTERED, use_color: bool = True):
+        for glyph in (lit_glyph, unlit_glyph):
             if len(glyph) != 1 or not glyph.isprintable() or glyph.isspace():
                 raise ValueError(f"glyph must be a single visible character: {glyph!r}")
-        for color in (self.am_color, self.pm_color):
+        for color in (am_color, pm_color):
             if color not in ANSI_COLOR_CODES:
                 raise RenderError(
                     f"unknown terminal color {color!r} (choose from {', '.join(ANSI_COLOR_CODES)})"
                 )
+        _set(self, "format", format)
+        _set(self, "lit_glyph", lit_glyph)
+        _set(self, "unlit_glyph", unlit_glyph)
+        _set(self, "am_color", am_color)
+        _set(self, "pm_color", pm_color)
+        _set(self, "layout", layout)
+        _set(self, "use_color", use_color)
 
 
 def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
@@ -92,12 +94,13 @@ def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
 
 
 def _render_json(state: DisplayState, scheme: RowScheme) -> str:
+    minutes = decode_minutes(state, scheme)
     return json.dumps(
         {
             "scheme": scheme.name,
             "digits": list(state.digits),
             "meridiem": state.meridiem.value if state.meridiem else None,
-            "time": str(decode(state, scheme)),
+            "time": str(TimeOfDay(minutes)) if minutes < MINUTES_PER_DAY else None,  # surplus: null
         }
     )
 
@@ -109,6 +112,9 @@ def _cells(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
         raise RenderError(
             f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
         )
+    widest = max(row.lamp_count for row in scheme.rows)
+    if widest > MAX_LAMPS_PER_ROW:
+        raise RenderError(f"a row of {widest} lamps is too wide to draw (at most {MAX_LAMPS_PER_ROW})")
     meridiem_color = {Meridiem.AM: spec.am_color, Meridiem.PM: spec.pm_color}.get(state.meridiem)
     for k, (digit, row) in enumerate(zip(state.digits, scheme.rows)):
         for i in range(row.lamp_count):

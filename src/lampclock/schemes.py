@@ -16,16 +16,13 @@ build only the layouts they return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd, prod
 
-from .codec import RowScheme
+from .codec import DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, RowScheme, _Record, _set
 from .catalog import make_scheme
 from .errors import EnumerationCapError
 
-DEFAULT_SHAPE_LIMIT = 100_000
-MAX_SHAPE_LIMIT = 1_000_000  # larger limits are lowered to this, bounding memory
 MAX_TARGET = 2**64  # targets must be below this to be factored in bounded time
 
 
@@ -44,13 +41,15 @@ def classify(lamp_counts: tuple[int, ...]) -> ShapeClass:
     return ShapeClass.IRREGULAR
 
 
-@dataclass(frozen=True)
-class SchemeShape:
+class SchemeShape(_Record):
     """A row layout by lamp counts (top first) and its geometry."""
 
-    lamp_counts: tuple[int, ...]
-    classification: ShapeClass
-    total_lamps: int
+    __slots__ = ("lamp_counts", "classification", "total_lamps")
+
+    def __init__(self, lamp_counts: tuple[int, ...], classification: ShapeClass, total_lamps: int):
+        _set(self, "lamp_counts", lamp_counts)
+        _set(self, "classification", classification)
+        _set(self, "total_lamps", total_lamps)
 
     @classmethod
     def from_lamp_counts(cls, lamp_counts: tuple[int, ...]) -> "SchemeShape":

@@ -11,6 +11,7 @@ from lampclock import (
     resolve_scheme,
     validate,
 )
+from lampclock.codec import MAX_LAMPS_PER_ROW
 
 
 def write_scheme(tmp_path, payload, name="scheme.json"):
@@ -82,6 +83,18 @@ def test_load_scheme_capacity_shortfall_rejected(tmp_path):
 def test_load_scheme_malformed_payloads(tmp_path, payload):
     with pytest.raises(InvalidSchemeError):
         load_scheme(write_scheme(tmp_path, payload))
+
+
+@pytest.mark.parametrize("lamps", [MAX_LAMPS_PER_ROW + 1, 10**9, 10**100])
+def test_load_scheme_rejects_overlong_rows(tmp_path, lamps):
+    payload = {"name": "wide", "cycle_minutes": 1440, "rows": [{"lamps": 1}, {"lamps": lamps}]}
+    with pytest.raises(InvalidSchemeError, match=r"rows\[1\].*at most 1440"):
+        load_scheme(write_scheme(tmp_path, payload))
+
+
+def test_load_scheme_accepts_the_longest_row(tmp_path):
+    payload = {"name": "wide", "cycle_minutes": 1440, "rows": [{"lamps": MAX_LAMPS_PER_ROW}]}
+    assert load_scheme(write_scheme(tmp_path, payload)).lamp_counts == (1440,)
 
 
 def test_load_scheme_bad_json(tmp_path):

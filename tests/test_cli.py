@@ -194,6 +194,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_SCHEME
         assert "capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["validate"], ["show", "--format", "svg", "--scheme"]])
+    def test_billion_lamp_row_is_a_scheme_error(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text('{"name": "huge", "cycle_minutes": 1440, "rows": [{"lamps": 1000000000}]}')
+        start = time.perf_counter()
+        assert main([*command, str(path)]) == EXIT_SCHEME
+        assert time.perf_counter() - start < 1.0
+        assert "at most 1440" in capsys.readouterr().err
+
 
 class TestTick:
     def test_noon_boundary_ansi(self):

@@ -1,0 +1,92 @@
+"""What a cold start of the CLI imports, checked in fresh interpreters,
+because pytest itself has already imported ``dataclasses``."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lampclock
+
+SRC = Path(lampclock.__file__).resolve().parent.parent
+
+# Runs each command in-process, with stdout discarded, then prints which
+# of the watched modules are loaded.
+PROBE = """
+import contextlib, io, json, sys
+import lampclock.cli as cli
+watched = ("dataclasses", "lampclock.schemes")
+loaded = {"import": [m for m in watched if m in sys.modules]}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        args = cli.build_parser().parse_args(argv)
+        code = cli.cmd_tick(args, max_polls=1) if argv[0] == "tick" else cli.main(argv)
+    loaded[name] = [code] + [m for m in watched if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def probe(*commands):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_schemes():
+    assert probe()["import"] == []
+
+
+def test_only_the_schemes_command_loads_schemes():
+    loaded = probe(
+        ("show", ["show", "--time", "04:49", "--format", "bits"]),
+        ("decode", ["decode", "0/11/100/1110/10000", "--am"]),
+        ("validate", ["validate", "--scheme", "berlin"]),
+        ("tick", ["tick", "--time", "04:49", "--format", "json"]),
+        ("schemes", ["schemes", "12"]),
+    )
+    assert loaded["import"] == []
+    for name in ("show", "decode", "validate", "tick"):
+        assert loaded[name] == [0], name
+    assert loaded["schemes"] == [0, "lampclock.schemes"]
+
+
+def test_schemes_count_loads_schemes():
+    assert probe(("count", ["schemes", "720", "--count"]))["count"] == [0, "lampclock.schemes"]
+
+
+PUBLIC_NAMES = [
+    "BERLIN", "BUILTIN_SCHEMES", "BitsParseError", "ClockError", "DisplayState",
+    "EnumerationCapError", "InvalidSchemeError", "InvalidStateError", "Layout", "Meridiem",
+    "MonotoneFillError", "RenderError", "RenderFormat", "RenderSpec", "RowScheme", "RowSpec",
+    "SchemeShape", "ScriptedTimeSource", "ShapeClass", "SystemTimeSource", "TimeOfDay",
+    "TimeSource", "TRIANGULAR", "ValidationReport", "Violation", "capacity", "classify",
+    "count_shapes", "decode", "decode_minutes", "derive_units", "encode", "enumerate_shapes",
+    "is_triangular_feasible", "load_scheme", "make_scheme", "parse_bits", "render",
+    "resolve_scheme", "shape_to_scheme", "validate",
+]
+
+
+def test_public_names_unchanged():
+    assert lampclock.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from lampclock import *", namespace)
+    assert set(lampclock.__all__) <= set(namespace)
+    from lampclock import schemes
+
+    assert namespace["enumerate_shapes"] is schemes.enumerate_shapes
+    assert namespace["ShapeClass"] is schemes.ShapeClass
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lampclock.no_such_name
+    assert not hasattr(lampclock, "MAX_TARGET")

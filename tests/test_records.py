@@ -1,0 +1,188 @@
+"""Value semantics of the eight record types: equality, hashing, repr,
+immutability, pickling, copying and construction checks."""
+
+import copy
+import pickle
+
+import pytest
+
+from lampclock import (
+    DisplayState,
+    InvalidSchemeError,
+    Layout,
+    Meridiem,
+    RenderError,
+    RenderFormat,
+    RenderSpec,
+    RowScheme,
+    RowSpec,
+    SchemeShape,
+    ShapeClass,
+    TimeOfDay,
+    ValidationReport,
+    Violation,
+)
+
+SHORT = Violation("capacity", None, "short")
+
+# (value, an equal value built afresh, a value differing in one field,
+#  the plain tuple of its fields, its exact repr)
+CASES = {
+    "RowSpec": (
+        RowSpec(1, 360), RowSpec(lamp_count=1, unit_value=360), RowSpec(1, 120),
+        (1, 360), "RowSpec(lamp_count=1, unit_value=360)",
+    ),
+    "RowScheme": (
+        RowScheme("s", (RowSpec(2, 1),), 3), RowScheme("s", [RowSpec(2, 1)], 3, 1),
+        RowScheme("s", (RowSpec(2, 1),), 3, 2),
+        ("s", (RowSpec(2, 1),), 3, 1),
+        "RowScheme(name='s', rows=(RowSpec(lamp_count=2, unit_value=1),), "
+        "cycle_minutes=3, base_unit_minutes=1)",
+    ),
+    "TimeOfDay": (
+        TimeOfDay(289), TimeOfDay.parse("04:49"), TimeOfDay(290),
+        (289,), "TimeOfDay(minutes_since_midnight=289)",
+    ),
+    "DisplayState": (
+        DisplayState((0, 2, 1, 3, 1), Meridiem.AM), DisplayState([0, 2, 1, 3, 1], meridiem=Meridiem.AM),
+        DisplayState((0, 2, 1, 3, 1), Meridiem.PM),
+        ((0, 2, 1, 3, 1), Meridiem.AM),
+        "DisplayState(digits=(0, 2, 1, 3, 1), meridiem=<Meridiem.AM: 'AM'>)",
+    ),
+    "Violation": (
+        SHORT, Violation(kind="capacity", row=None, message="short"), Violation("capacity", 1, "short"),
+        ("capacity", None, "short"), "Violation(kind='capacity', row=None, message='short')",
+    ),
+    "ValidationReport": (
+        ValidationReport((SHORT,)), ValidationReport(violations=(Violation("capacity", None, "short"),)),
+        ValidationReport(()),
+        ((SHORT,),),
+        "ValidationReport(violations=(Violation(kind='capacity', row=None, message='short'),))",
+    ),
+    "RenderSpec": (
+        RenderSpec(), RenderSpec(RenderFormat.ANSI, "●", "○", "green", "red", Layout.TRIANGLE_CENTERED, True),
+        RenderSpec(use_color=False),
+        (RenderFormat.ANSI, "●", "○", "green", "red", Layout.TRIANGLE_CENTERED, True),
+        "RenderSpec(format=<RenderFormat.ANSI: 'ansi'>, lit_glyph='●', unlit_glyph='○', "
+        "am_color='green', pm_color='red', layout=<Layout.TRIANGLE_CENTERED: 'triangle'>, "
+        "use_color=True)",
+    ),
+    "SchemeShape": (
+        SchemeShape.from_lamp_counts((2, 1)), SchemeShape((2, 1), ShapeClass.IRREGULAR, 3),
+        SchemeShape.from_lamp_counts((1, 2)),
+        ((2, 1), ShapeClass.IRREGULAR, 3),
+        "SchemeShape(lamp_counts=(2, 1), classification=<ShapeClass.IRREGULAR: 'IRREGULAR'>, "
+        "total_lamps=3)",
+    ),
+}
+NAMES = sorted(CASES)
+FIELD = {"RowSpec": "unit_value", "RowScheme": "rows", "TimeOfDay": "minutes_since_midnight",
+         "DisplayState": "digits", "Violation": "message", "ValidationReport": "violations",
+         "RenderSpec": "am_color", "SchemeShape": "lamp_counts"}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality(name):
+    value, same, other, plain, _ = CASES[name]
+    assert value == same and not value != same
+    assert value != other and not value == other
+    assert value != plain and plain != value
+    assert value.__eq__(plain) is NotImplemented
+    assert all(value != CASES[n][0] for n in NAMES if n != name)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_values_hash_equal(name):
+    value, same, other, _, _ = CASES[name]
+    assert hash(value) == hash(same)
+    assert len({value, same, other}) == 2
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr(name):
+    value, _, _, _, text = CASES[name]
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_immutable(name):
+    value, field = CASES[name][0], FIELD[name]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_and_copy_round_trip(name):
+    value = CASES[name][0]
+    clones = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    clones += [copy.copy(value), copy.deepcopy(value)]
+    for clone in clones:
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+        assert repr(clone) == repr(value)
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("lamps, unit", [(0, 1), (1, 0), (-1, 5)])
+    def test_row_spec_rejects(self, lamps, unit):
+        with pytest.raises(InvalidSchemeError):
+            RowSpec(lamps, unit)
+
+    @pytest.mark.parametrize("rows, cycle, base", [
+        ((), 1, 1), ((RowSpec(1, 1),), 0, 1), ((RowSpec(1, 1),), 2, 0),
+    ])
+    def test_row_scheme_rejects(self, rows, cycle, base):
+        with pytest.raises(InvalidSchemeError):
+            RowScheme("s", rows, cycle, base)
+
+    def test_row_scheme_rows_become_a_tuple(self):
+        rows = [RowSpec(2, 1)]
+        scheme = RowScheme("s", rows, 3)
+        assert scheme.rows == (RowSpec(2, 1),) and type(scheme.rows) is tuple
+        assert RowScheme("s", iter(rows), 3) == scheme
+        assert scheme.base_unit_minutes == 1
+
+    @pytest.mark.parametrize("minutes", [-1, 1440, 10**9])
+    def test_time_of_day_rejects(self, minutes):
+        with pytest.raises(ValueError):
+            TimeOfDay(minutes)
+
+    def test_display_state_digits_become_a_tuple(self):
+        state = DisplayState([0, 2, 1])
+        assert state.digits == (0, 2, 1) and type(state.digits) is tuple
+        assert DisplayState(d for d in (0, 2, 1)) == state
+        assert state.meridiem is None
+        assert DisplayState(()).digits == ()
+
+    def test_display_state_rejects_negative_digits(self):
+        with pytest.raises(ValueError):
+            DisplayState([1, -1])
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"lit_glyph": "ab"}, ValueError), ({"lit_glyph": ""}, ValueError),
+        ({"unlit_glyph": " "}, ValueError), ({"unlit_glyph": "\n"}, ValueError),
+        ({"am_color": "pink"}, RenderError), ({"pm_color": "#fff"}, RenderError),
+    ])
+    def test_render_spec_rejects(self, kwargs, error):
+        with pytest.raises(error):
+            RenderSpec(**kwargs)
+
+    def test_render_spec_defaults(self):
+        spec = RenderSpec(format=RenderFormat.SVG)
+        assert (spec.lit_glyph, spec.unlit_glyph, spec.am_color, spec.pm_color) == ("●", "○", "green", "red")
+        assert spec.layout is Layout.TRIANGLE_CENTERED and spec.use_color is True
+
+    def test_plain_records_keep_their_arguments(self):
+        report = ValidationReport((SHORT,))
+        assert report.violations == (SHORT,) and not report.ok
+        assert ValidationReport(()).ok and str(ValidationReport(())) == "ok"
+        assert (SHORT.kind, SHORT.row, SHORT.message) == CASES["Violation"][3]
+        shape = SchemeShape.from_lamp_counts((2, 1))
+        assert (shape.lamp_counts, shape.total_lamps, shape.state_count) == ((2, 1), 3, 6)

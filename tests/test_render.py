@@ -1,10 +1,11 @@
 import json
 import re
+import time
 import xml.etree.ElementTree as ET
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from lampclock import (
@@ -20,10 +21,13 @@ from lampclock import (
     RenderFormat,
     RenderSpec,
     TimeOfDay,
+    decode,
     encode,
+    make_scheme,
     parse_bits,
     render,
 )
+from lampclock.codec import MAX_LAMPS_PER_ROW
 from strategies import scheme_and_time
 
 ANSI_ESCAPES = re.compile(r"\x1b\[[0-9;]*m")
@@ -198,13 +202,15 @@ class TestJson:
         assert doc["time"] == "16:49"
         assert doc["digits"] == [0, 2, 1, 3, 1]
 
-    def test_surplus_state_has_no_time_field(self):
-        # berlin's all-on state reads 24:59; it renders as bits or art but
-        # cannot be serialized with an HH:MM field
+    def test_surplus_state_has_a_null_time(self):
+        # berlin's all-on state reads 24:59, past the end of the day: it
+        # renders in every format, with no HH:MM time in JSON
         all_on = DisplayState((4, 4, 11, 4))
-        with pytest.raises(InvalidStateError):
-            render(all_on, BERLIN, RenderSpec(format=RenderFormat.JSON))
+        text = render(all_on, BERLIN, RenderSpec(format=RenderFormat.JSON))
+        assert text == '{"scheme": "berlin", "digits": [4, 4, 11, 4], "meridiem": null, "time": null}'
         assert render(all_on, BERLIN, BITS) == "1111/1111/11111111111/1111"
+        last = DisplayState((4, 3, 11, 4))  # 23:59, the last minute of the day
+        assert json.loads(render(last, BERLIN, RenderSpec(format=RenderFormat.JSON)))["time"] == "23:59"
 
 
 class TestSvg:
@@ -236,6 +242,26 @@ class TestSvg:
         spec = RenderSpec(format=RenderFormat.SVG, layout=Layout.BERLIN_BLOCKS)
         with pytest.raises(RenderError):
             render(state_at("04:49"), TRIANGULAR, spec)
+
+
+class TestRowWidthBound:
+    @pytest.mark.parametrize("fmt", [RenderFormat.ANSI, RenderFormat.SVG], ids=lambda f: f.value)
+    @pytest.mark.parametrize("lamps", [MAX_LAMPS_PER_ROW + 1, 10**6])
+    def test_overlong_row_fails_before_drawing(self, fmt, lamps):
+        scheme = make_scheme("wide", [2, lamps], 1440)
+        state = DisplayState((1, lamps))
+        start = time.perf_counter()
+        with pytest.raises(RenderError, match="too wide"):
+            render(state, scheme, RenderSpec(format=fmt))
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(render(state, scheme, RenderSpec(format=RenderFormat.JSON)))["time"] is None
+
+    @pytest.mark.parametrize("fmt", [RenderFormat.ANSI, RenderFormat.SVG], ids=lambda f: f.value)
+    def test_longest_row_is_drawn(self, fmt):
+        scheme = make_scheme("wide", [MAX_LAMPS_PER_ROW], 1440)
+        state = encode(TimeOfDay(1439), scheme)
+        spec = RenderSpec(format=fmt, use_color=False)
+        assert lit_counts_per_row(render(state, scheme, spec), fmt, scheme, spec) == [1439]
 
 
 def lit_counts_per_row(rendered, fmt, scheme, spec):
@@ -287,3 +313,21 @@ def test_bits_round_trip_random_schemes(pair):
     state = encode(t, scheme)
     bits = render(state, scheme, RenderSpec(format=RenderFormat.BITS))
     assert parse_bits(bits, scheme, state.meridiem) == state
+
+
+@given(scheme_and_time(), st.sampled_from(list(RenderFormat)), st.sampled_from(list(Layout)),
+       st.booleans())
+def test_every_format_renders_and_reads_back(pair, fmt, layout, use_color):
+    scheme, t = pair
+    assume(layout is not Layout.BERLIN_BLOCKS or len(scheme.rows) == 4)
+    state = encode(t, scheme)
+    out = render(state, scheme, RenderSpec(format=fmt, layout=layout, use_color=use_color))
+    if fmt is RenderFormat.SVG:
+        assert len(list(ET.fromstring(out))) == sum(scheme.lamp_counts)
+    elif fmt is RenderFormat.BITS:
+        back = parse_bits(out, scheme, state.meridiem)
+        assert back == state and decode(back, scheme) == t
+    elif fmt is RenderFormat.JSON:
+        doc = json.loads(out)
+        meridiem = state.meridiem.value if state.meridiem else None
+        assert (doc["digits"], doc["meridiem"], doc["time"]) == (list(state.digits), meridiem, str(t))
