@@ -48,7 +48,8 @@ def _render_spec(args: argparse.Namespace, scheme: RowScheme, out: TextIO) -> Re
     if args.layout is not None:
         layout = Layout(args.layout)
     else:
-        layout = Layout.BERLIN_BLOCKS if scheme.name == "berlin" else Layout.TRIANGLE_CENTERED
+        berlin = scheme.name == "berlin" and len(scheme.rows) == 4
+        layout = Layout.BERLIN_BLOCKS if berlin else Layout.TRIANGLE_CENTERED
     if args.color == "auto":
         use_color = "NO_COLOR" not in os.environ and _is_tty(out)
     else:

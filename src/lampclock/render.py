@@ -86,7 +86,15 @@ def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     return _render_svg(state, scheme, spec)
 
 
+def _check_width(scheme: RowScheme) -> None:
+    """Refuse a row too wide to draw before drawing any of it."""
+    widest = max(row.lamp_count for row in scheme.rows)
+    if widest > MAX_LAMPS_PER_ROW:
+        raise RenderError(f"a row of {widest} lamps is too wide to draw (at most {MAX_LAMPS_PER_ROW})")
+
+
 def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
+    _check_width(scheme)
     return "/".join([
         "1" * digit + "0" * (row.lamp_count - digit)
         for digit, row in zip(state.digits, scheme.rows)
@@ -112,9 +120,7 @@ def _cells(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
         raise RenderError(
             f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
         )
-    widest = max(row.lamp_count for row in scheme.rows)
-    if widest > MAX_LAMPS_PER_ROW:
-        raise RenderError(f"a row of {widest} lamps is too wide to draw (at most {MAX_LAMPS_PER_ROW})")
+    _check_width(scheme)
     meridiem_color = {Meridiem.AM: spec.am_color, Meridiem.PM: spec.pm_color}.get(state.meridiem)
     for k, (digit, row) in enumerate(zip(state.digits, scheme.rows)):
         for i in range(row.lamp_count):

@@ -8,10 +8,11 @@ f-1 lamps. Row order matters physically (top rows are more significant),
 so factorizations are ordered, not unordered. Factors of 1 would be
 zero-lamp rows and are excluded.
 
-The target is factored once, by trial division, Miller-Rabin and
-Pollard's rho. The number of layouts depends only on the prime exponents,
-so the cap is checked before any layout is built, and filtered queries
-build only the layouts they return.
+The target is factored once (trial division, Miller-Rabin, Pollard's
+rho). Its prime exponents give the number of layouts, so the cap is
+checked before any layout is built, and the few that are not irregular:
+the triangle if N == (n+1)!, k equal rows if k divides every exponent.
+Each layout is built once, with its class, and only if it is returned.
 """
 
 from __future__ import annotations
@@ -121,8 +122,7 @@ def _pollard_brent(n: int) -> int:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization of 1 <= n < MAX_TARGET as {prime: exponent},
-    ascending by prime."""
+    """Prime factorization of 1 <= n < MAX_TARGET as {prime: exponent}, ascending by prime."""
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -203,26 +203,24 @@ def enumerate_shapes(
     if _shape_count(factors) > limit:
         raise EnumerationCapError(f"more than {limit} shapes for target {target_states}")
 
-    if shape_filter is ShapeClass.TRIANGULAR:
-        rows = is_triangular_feasible(target_states)
-        lamp_lists = [] if rows is None else [tuple(range(1, rows + 1))]
-    elif shape_filter is ShapeClass.RECTANGULAR:
-        # n == f**k exactly when k divides every exponent; larger k, smaller f
-        g = gcd(*factors.values())
-        lamp_lists = [(prod(p ** (e // k) for p, e in factors.items()) - 1,) * k
-                      for k in range(g, 1, -1) if g % k == 0]
-    else:
-        divisors = [1]
-        for p, e in factors.items():
-            divisors = [d * p**i for d in divisors for i in range(e + 1)]
-        divisors.sort()
-        lamp_lists = []
-        _factor_sequences(divisors[1:], target_states, (), lamp_lists)
-
-    shapes = [SchemeShape.from_lamp_counts(lamps) for lamps in lamp_lists]
-    if shape_filter is ShapeClass.IRREGULAR:
-        return [s for s in shapes if s.classification is shape_filter]
-    return shapes
+    # The only shapes that are not irregular: (1..n) if N == (n+1)!, and (f-1,)*k if N == f**k
+    rows = is_triangular_feasible(target_states)
+    special = {} if rows is None else {tuple(range(1, rows + 1)): ShapeClass.TRIANGULAR}
+    g = gcd(*factors.values())
+    for k in range(g, 1, -1):  # N == f**k when k divides every exponent; larger k, smaller f
+        if g % k == 0:
+            special[(prod(p ** (e // k) for p, e in factors.items()) - 1,) * k] = ShapeClass.RECTANGULAR
+    if shape_filter is ShapeClass.TRIANGULAR or shape_filter is ShapeClass.RECTANGULAR:
+        return [SchemeShape(lamps, c, sum(lamps)) for lamps, c in special.items() if c is shape_filter]
+    divisors = [1]
+    for p, e in factors.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    lamp_lists = []
+    _factor_sequences(sorted(divisors)[1:], target_states, (), lamp_lists)
+    irregular = ShapeClass.IRREGULAR
+    if shape_filter is None:
+        return [SchemeShape(lamps, special.get(lamps, irregular), sum(lamps)) for lamps in lamp_lists]
+    return [SchemeShape(lamps, irregular, sum(lamps)) for lamps in lamp_lists if lamps not in special]
 
 
 def is_triangular_feasible(target_states: int) -> int | None:
@@ -231,6 +229,8 @@ def is_triangular_feasible(target_states: int) -> int | None:
     such n exists."""
     if target_states < 2:
         raise ValueError(f"target_states must be at least 2, got {target_states}")
+    if target_states & 1:  # every (n+1)! from 2! up is even
+        return None
     fact, n = 2, 1  # (1+1)! with one row
     while fact < target_states:
         n += 1

@@ -77,6 +77,16 @@ class TestShow:
         assert main(["show", "--scheme", str(path), "--time", "13:00", "--format", "bits"]) == EXIT_OK
         assert capsys.readouterr().out == "110/10000\n"
 
+    def test_five_row_file_named_berlin_draws_a_triangle(self, tmp_path, capsys):
+        path = tmp_path / "it.json"
+        path.write_text(
+            '{"name": "berlin", "cycle_minutes": 720,'
+            ' "rows": [{"lamps": 1}, {"lamps": 2}, {"lamps": 3}, {"lamps": 4}, {"lamps": 5}]}'
+        )
+        assert main(["show", "--scheme", str(path), "--time", "04:49", "--format", "svg"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("<circle") == 15 and "<rect" not in out  # block layout needs 4 rows
+
     def test_color_always_emits_escapes(self, capsys):
         assert main(["show", "--time", "04:49", "--color", "always"]) == EXIT_OK
         assert "\x1b[32m" in capsys.readouterr().out

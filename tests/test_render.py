@@ -245,8 +245,11 @@ class TestSvg:
 
 
 class TestRowWidthBound:
-    @pytest.mark.parametrize("fmt", [RenderFormat.ANSI, RenderFormat.SVG], ids=lambda f: f.value)
-    @pytest.mark.parametrize("lamps", [MAX_LAMPS_PER_ROW + 1, 10**6])
+    # JSON carries digits, not lamps, so it still renders an overlong row
+    DRAWN = [RenderFormat.ANSI, RenderFormat.SVG, RenderFormat.BITS]
+
+    @pytest.mark.parametrize("fmt", DRAWN, ids=lambda f: f.value)
+    @pytest.mark.parametrize("lamps", [MAX_LAMPS_PER_ROW + 1, 10**6, 10**7])
     def test_overlong_row_fails_before_drawing(self, fmt, lamps):
         scheme = make_scheme("wide", [2, lamps], 1440)
         state = DisplayState((1, lamps))
@@ -256,7 +259,7 @@ class TestRowWidthBound:
         assert time.perf_counter() - start < 1.0
         assert json.loads(render(state, scheme, RenderSpec(format=RenderFormat.JSON)))["time"] is None
 
-    @pytest.mark.parametrize("fmt", [RenderFormat.ANSI, RenderFormat.SVG], ids=lambda f: f.value)
+    @pytest.mark.parametrize("fmt", DRAWN, ids=lambda f: f.value)
     def test_longest_row_is_drawn(self, fmt):
         scheme = make_scheme("wide", [MAX_LAMPS_PER_ROW], 1440)
         state = encode(TimeOfDay(1439), scheme)

@@ -120,6 +120,34 @@ class TestEnumerateShapes:
         expected = [s for s in enumerate_shapes(n) if s.classification is shape_filter]
         assert enumerate_shapes(n, shape_filter) == expected
 
+    @given(st.integers(min_value=2, max_value=2520))
+    @example(2)
+    @example(6)
+    @example(64)
+    @example(720)
+    @example(729)
+    @example(1296)
+    @example(4096)
+    @example(5040)
+    def test_classification_matches_classify(self, n):
+        for shape in enumerate_shapes(n):
+            assert shape.classification is classify(shape.lamp_counts)
+            assert shape.total_lamps == sum(shape.lamp_counts)
+
+    @pytest.mark.parametrize("shape_filter", [None, *ShapeClass])
+    @pytest.mark.parametrize("n", [720, 4096, 5040])
+    def test_builds_only_what_it_returns(self, monkeypatch, shape_filter, n):
+        built = []
+        init = SchemeShape.__init__
+
+        def counting_init(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(SchemeShape, "__init__", counting_init)
+        shapes = enumerate_shapes(n, shape_filter)
+        assert len(built) == len(shapes)
+
     @given(st.integers(min_value=2, max_value=400))
     def test_products_hit_target_exactly(self, n):
         for shape in enumerate_shapes(n):
