@@ -13,11 +13,13 @@ rejected at load time.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .codec import MAX_LAMPS_PER_ROW, RowScheme, RowSpec, derive_units, validate
 from .errors import InvalidSchemeError
+
+# A scheme has at most 64 rows (its capacity is below 2**64), far less than this in JSON.
+MAX_SCHEME_FILE_BYTES = 64 * 1024
 
 
 def make_scheme(
@@ -49,15 +51,21 @@ BUILTIN_SCHEMES: dict[str, RowScheme] = {
 
 
 def load_scheme(path: str | Path) -> RowScheme:
-    """Load and validate a scheme definition file."""
+    """Load and validate a scheme definition file of at most
+    ``MAX_SCHEME_FILE_BYTES`` bytes."""
+    import json  # here, so that built-in schemes start without it
+
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
+        with path.open("rb") as f:
+            raw = f.read(MAX_SCHEME_FILE_BYTES + 1)
     except OSError as exc:
         raise InvalidSchemeError(f"cannot read scheme file {path}: {exc}") from exc
+    if len(raw) > MAX_SCHEME_FILE_BYTES:
+        raise InvalidSchemeError(f"scheme file {path} is larger than {MAX_SCHEME_FILE_BYTES} bytes")
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a number too long for int
         raise InvalidSchemeError(f"scheme file {path} is not valid JSON: {exc}") from exc
 
     if not isinstance(data, dict):

@@ -28,6 +28,7 @@ EXIT_SCHEME = 3
 HIDE_CURSOR = "\x1b[?25l"
 SHOW_CURSOR = "\x1b[?25h"
 CLEAR_AND_HOME = "\x1b[2J\x1b[H"
+MAX_INTERVAL = 86_400  # one day in seconds; time.sleep overflows on far longer ones
 
 
 def _silence_stream(stream: TextIO) -> None:
@@ -189,6 +190,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _interval(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_INTERVAL:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_INTERVAL} seconds, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     scheme_opts = argparse.ArgumentParser(add_help=False)
     scheme_opts.add_argument(
@@ -224,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tick = sub.add_parser("tick", parents=[scheme_opts, render_opts],
                             help="live display, re-rendered every interval")
     p_tick.add_argument("--time", metavar="HH:MM", help="pin the display to a fixed time")
-    p_tick.add_argument("--interval", type=_positive_int, default=1, metavar="SECONDS",
-                        help="seconds between polls (default: 1)")
+    p_tick.add_argument("--interval", type=_interval, default=1, metavar="SECONDS",
+                        help=f"seconds between polls (default: 1, at most {MAX_INTERVAL})")
     p_tick.set_defaults(func=cmd_tick)
 
     p_decode = sub.add_parser("decode", parents=[scheme_opts],

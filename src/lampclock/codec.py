@@ -15,18 +15,21 @@ the full day on the lamps alone.
 
 from __future__ import annotations
 
-from datetime import datetime
 from enum import Enum
 from math import prod
 from operator import attrgetter
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidSchemeError, InvalidStateError
+
+if TYPE_CHECKING:
+    from datetime import datetime
 
 MINUTES_PER_DAY = 1440
 HALF_DAY = 720
 
 MAX_LAMPS_PER_ROW = 1440  # one-minute lamps enough for a day; bounds loading and drawing
+MAX_CAPACITY = 2**64  # a scheme shows fewer states, so it has at most 64 rows and 64-bit units
 DEFAULT_SHAPE_LIMIT = 100_000
 MAX_SHAPE_LIMIT = 1_000_000  # larger enumeration limits are lowered to this, bounding memory
 
@@ -192,6 +195,9 @@ def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
     The bottom row is worth one base unit; every row above is worth
     ``(lamps_below + 1)`` times the row below it, which makes each row's
     full value exactly one unit short of a single lamp one row up.
+
+    The capacity, the product of every ``lamps + 1``, must be below
+    ``MAX_CAPACITY``. It is checked as each row is added, bottom up.
     """
     counts = list(lamp_counts)
     if not counts:
@@ -199,9 +205,13 @@ def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
     if any(c < 1 for c in counts):
         raise InvalidSchemeError(f"every row needs at least one lamp: {counts}")
 
-    units = [1]
-    for lamps in reversed(counts[1:]):
-        units.append((lamps + 1) * units[-1])
+    units, states = [], 1
+    for row, lamps in zip(range(len(counts), 0, -1), reversed(counts)):
+        units.append(states)
+        states *= lamps + 1
+        if states >= MAX_CAPACITY:
+            raise InvalidSchemeError(
+                f"capacity must be below 2**64 states; rows {row} to {len(counts)} already exceed it")
     units.reverse()
     return units
 

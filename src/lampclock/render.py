@@ -8,7 +8,6 @@ of an unlit one.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 from .codec import (MAX_LAMPS_PER_ROW, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
@@ -102,6 +101,8 @@ def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
 
 
 def _render_json(state: DisplayState, scheme: RowScheme) -> str:
+    import json  # here, not at the top: the other formats start faster without it
+
     minutes = decode_minutes(state, scheme)
     return json.dumps(
         {

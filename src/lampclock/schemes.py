@@ -20,11 +20,11 @@ from __future__ import annotations
 from enum import Enum
 from math import comb, gcd, prod
 
-from .codec import DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, RowScheme, _Record, _set
+from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _Record, _set
 from .catalog import make_scheme
 from .errors import EnumerationCapError
 
-MAX_TARGET = 2**64  # targets must be below this to be factored in bounded time
+MAX_TARGET = MAX_CAPACITY  # a target is a capacity; below this it is factored in bounded time
 
 
 class ShapeClass(Enum):
@@ -61,9 +61,12 @@ class SchemeShape(_Record):
         return prod(c + 1 for c in self.lamp_counts)
 
 
-# Trial divisors, and the Miller-Rabin bases that make the test exact
-# below 3.18e23 (Sorenson and Webster 2015), far above MAX_TARGET.
+# Trial divisors. What trial division leaves is coprime to each, so each can be a Miller-Rabin base.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (bound, bases): Miller-Rabin on the first primes is exact below each bound (Pomerance et al. 1980,
+# Jaeschke 1993, Jiang and Deng 2014, Sorenson and Webster 2015). Each bound fools its bases: n < bound.
+_MR_TIERS = ((3_215_031_751, _SMALL_PRIMES[:4]), (341_550_071_728_321, _SMALL_PRIMES[:7]),
+             (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]), (MAX_TARGET, _SMALL_PRIMES))
 _RHO_BATCH = 64  # gcds are taken over products of this many differences
 
 
@@ -75,12 +78,13 @@ def _check_target(target_states: int) -> None:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin for n > 37, so that every base is a unit mod n."""
-    d, s = n - 1, 0  # n - 1 == d * 2**s with d odd
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _SMALL_PRIMES:
+    """Miller-Rabin for 37 < n < MAX_TARGET, with the fewest bases exact for n."""
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -140,17 +144,22 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 def _shape_count(factors: dict[int, int]) -> int:
-    """Ordered factorizations of the number with this prime factorization.
-
-    ``ways[j]`` counts ordered splits into j factors >= 1, one
-    stars-and-bars choice per prime; inclusion-exclusion over the factors
-    allowed to be 1 leaves the splits into exactly k factors >= 2.
-    """
+    """Ordered factorizations of the number with this prime factorization:
+    ``ways`` counts ordered splits into j factors >= 1, one stars-and-bars
+    choice per prime, and inclusion-exclusion over the factors allowed to be
+    1 leaves the splits into exactly k factors >= 2, summed over k."""
     exponents = factors.values()
     omega = sum(exponents)
-    ways = [prod(comb(e + j - 1, e) for e in exponents) for j in range(omega + 1)]
-    return sum((-1) ** (k - j) * comb(k, j) * ways[j]
-               for k in range(1, omega + 1) for j in range(1, k + 1))
+    total = 0
+    for j in range(1, omega + 1):
+        ways = 1
+        for e in exponents:
+            ways *= comb(e + j - 1, e)
+        sign = 1  # (-1) ** (k - j)
+        for k in range(j, omega + 1):
+            total += sign * comb(k, j) * ways
+            sign = -sign
+    return total
 
 
 def count_shapes(target_states: int) -> int:
@@ -164,12 +173,9 @@ def count_shapes(target_states: int) -> int:
 def _factor_sequences(divisors: list[int], remaining: int,
                       lamps_prefix: tuple[int, ...], out: list[tuple[int, ...]]) -> None:
     """Append to ``out`` the lamp counts of every ordered factorization of
-    ``remaining`` into ``divisors``, each after ``lamps_prefix``.
-
-    Ascending divisors emit the sequences in lexicographic order; no
-    complete sequence is a prefix of another, because appending any
-    factor >= 2 overshoots the product.
-    """
+    ``remaining`` into ``divisors``, each after ``lamps_prefix``. Ascending
+    divisors give lexicographic order, and no sequence is a prefix of
+    another, because appending any factor >= 2 overshoots the product."""
     for f in divisors:
         if f > remaining:
             break
@@ -182,11 +188,8 @@ def _factor_sequences(divisors: list[int], remaining: int,
             _factor_sequences(divisors, remaining // f, lamps, out)
 
 
-def enumerate_shapes(
-    target_states: int,
-    shape_filter: ShapeClass | None = None,
-    limit: int = DEFAULT_SHAPE_LIMIT,
-) -> list[SchemeShape]:
+def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
+                     limit: int = DEFAULT_SHAPE_LIMIT) -> list[SchemeShape]:
     """All row layouts with exactly ``target_states`` display states.
 
     Returns one shape per ordered factorization of ``target_states`` into
@@ -203,15 +206,16 @@ def enumerate_shapes(
     if _shape_count(factors) > limit:
         raise EnumerationCapError(f"more than {limit} shapes for target {target_states}")
 
-    # The only shapes that are not irregular: (1..n) if N == (n+1)!, and (f-1,)*k if N == f**k
-    rows = is_triangular_feasible(target_states)
-    special = {} if rows is None else {tuple(range(1, rows + 1)): ShapeClass.TRIANGULAR}
-    g = gcd(*factors.values())
+    # The asked-for shapes that are not irregular: (1..n) if N == (n+1)!, (f-1,)*k if N == f**k
+    special = {}
+    if shape_filter is not ShapeClass.RECTANGULAR and (rows := is_triangular_feasible(target_states)):
+        special[tuple(range(1, rows + 1))] = ShapeClass.TRIANGULAR
+    g = 1 if shape_filter is ShapeClass.TRIANGULAR else gcd(*factors.values())
     for k in range(g, 1, -1):  # N == f**k when k divides every exponent; larger k, smaller f
         if g % k == 0:
             special[(prod(p ** (e // k) for p, e in factors.items()) - 1,) * k] = ShapeClass.RECTANGULAR
     if shape_filter is ShapeClass.TRIANGULAR or shape_filter is ShapeClass.RECTANGULAR:
-        return [SchemeShape(lamps, c, sum(lamps)) for lamps, c in special.items() if c is shape_filter]
+        return [SchemeShape(lamps, shape_filter, sum(lamps)) for lamps in special]
     divisors = [1]
     for p, e in factors.items():
         divisors = [d * p**i for d in divisors for i in range(e + 1)]
@@ -238,12 +242,8 @@ def is_triangular_feasible(target_states: int) -> int | None:
     return n if fact == target_states else None
 
 
-def shape_to_scheme(
-    shape: SchemeShape,
-    base_unit: int = 1,
-    cycle_minutes: int = 720,
-    name: str | None = None,
-) -> RowScheme:
+def shape_to_scheme(shape: SchemeShape, base_unit: int = 1, cycle_minutes: int = 720,
+                    name: str | None = None) -> RowScheme:
     """Realize a shape as a concrete, validated scheme.
 
     The shape's capacity in minutes must cover the requested cycle, else

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from datetime import datetime
 from itertools import islice
 from typing import Iterable, Protocol
 
@@ -25,6 +24,8 @@ class SystemTimeSource:
     """Local wall-clock time, truncated to the minute."""
 
     def now(self) -> TimeOfDay | None:
+        from datetime import datetime  # here, so that a command given --time never loads it
+
         return TimeOfDay.from_datetime(datetime.now())
 
 

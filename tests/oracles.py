@@ -3,7 +3,7 @@
 These deliberately avoid the library's own algorithms: digit vectors are
 found by exhaustive search over every displayable state, ordered
 factorizations are counted by trying every integer factor directly, and
-primes are recognized by trial division or by Lucas's converse of
+primes are recognized by trial division, a sieve or Lucas's converse of
 Fermat's theorem, never by Miller-Rabin.
 """
 
@@ -56,6 +56,16 @@ def is_prime(n: int) -> bool:
             return False
         d += 1 if d == 2 else 2
     return True
+
+
+def prime_sieve(n: int) -> bytearray:
+    """Sieve of Eratosthenes: ``sieve[k]`` is 1 when k < n is prime, else 0."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return sieve
 
 
 def lucas_proves_prime(n: int, primes_of_n_minus_1: list[int]) -> bool:

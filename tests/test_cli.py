@@ -213,6 +213,30 @@ class TestValidate:
         assert time.perf_counter() - start < 1.0
         assert "at most 1440" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size, code", [(64 * 1024, EXIT_OK), (70 * 1024, EXIT_SCHEME)])
+    def test_file_is_read_up_to_64_kib(self, tmp_path, capsys, size, code):
+        text = '{"name": "padded", "cycle_minutes": 2, "rows": [{"lamps": 1}]}'
+        path = tmp_path / "padded.json"
+        path.write_text(text + " " * (size - len(text)))
+        assert main(["validate", str(path)]) == code
+        assert ("larger than 65536 bytes" in capsys.readouterr().err) == (code == EXIT_SCHEME)
+
+    @pytest.mark.parametrize("text", [
+        '{"name": "long", "cycle_minutes": ' + "7" * 5000 + ', "rows": [{"lamps": 1}]}',
+        '{"name": "caf\xe9", "cycle_minutes": 2, "rows": [{"lamps": 1}]}',
+    ], ids=["number-too-long-for-int", "latin-1-not-utf-8"])
+    def test_undecodable_file_is_a_scheme_error(self, tmp_path, capsys, text):
+        path = tmp_path / "odd.json"
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["validate", str(path)]) == EXIT_SCHEME
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_more_rows_than_64_bits_of_states(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"name": "deep", "cycle_minutes": 720, "rows": [{"lamps": 1}] * 64}))
+        assert main(["validate", str(path)]) == EXIT_SCHEME
+        assert "below 2**64" in capsys.readouterr().err
+
 
 class TestTick:
     def test_noon_boundary_ansi(self):
@@ -287,6 +311,15 @@ class TestTick:
 
     def test_interval_must_be_positive(self):
         assert main(["tick", "--interval", "0"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("interval", ["86401", "100000000000000000000"])
+    def test_interval_is_at_most_a_day(self, interval, capsys):
+        # parsed, not run: an unbounded interval would sleep, or overflow time.sleep
+        with pytest.raises(SystemExit) as exc:
+            parse("tick", "--interval", interval)
+        assert exc.value.code == EXIT_INPUT
+        assert "at most 86400" in capsys.readouterr().err
+        assert parse("tick", "--interval", "86400").interval == 86400
 
     def test_scripted_source_accepts_endless_iterables(self):
         source = ScriptedTimeSource(itertools.cycle(["23:59", TimeOfDay(0)]))

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -70,6 +71,19 @@ class TestDeriveUnits:
         with pytest.raises(InvalidSchemeError):
             derive_units(counts)
 
+    def test_capacity_below_2_to_the_64(self):
+        assert derive_units([1] * 63)[0] == 2**62  # 2**63 states
+        with pytest.raises(InvalidSchemeError, match=r"2\*\*64.*rows 1 to 64"):
+            derive_units([1] * 64)  # 2**64 states
+        with pytest.raises(InvalidSchemeError, match=r"rows 1 to 2"):
+            derive_units([2**32, 2**32 - 1])
+
+    def test_many_rows_fail_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidSchemeError, match=r"2\*\*64"):
+            make_scheme("wide", [1440] * 50_000, 720)
+        assert time.perf_counter() - start < 1
+
     @given(lamp_count_lists)
     def test_recurrence_holds(self, counts):
         units = derive_units(counts)
@@ -86,6 +100,9 @@ class TestCapacity:
 
     def test_single_lamp(self):
         assert capacity(make_scheme("one", [1], cycle_minutes=2)) == 2
+
+    def test_largest(self):
+        assert capacity(make_scheme("deep", [1] * 63, cycle_minutes=720)) == 2**63
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_factorial_law_for_triangles(self, n):

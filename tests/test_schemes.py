@@ -19,8 +19,10 @@ from lampclock import (
     shape_to_scheme,
     validate,
 )
-from lampclock.schemes import _factorize
-from oracles import is_prime, lucas_proves_prime, ordered_factorization_count, ordered_factorizations
+import lampclock.schemes as schemes
+from lampclock.schemes import _factorize, _is_prime
+from oracles import (is_prime, lucas_proves_prime, ordered_factorization_count, ordered_factorizations,
+                     prime_sieve)
 
 
 class TestClassify:
@@ -105,7 +107,7 @@ class TestEnumerateShapes:
         assert len(enumerate_shapes(n)) == ordered_factorization_count(n)
 
     def test_count_shapes_matches_oracle(self):
-        for n in range(2, 2001):
+        for n in range(2, 5001):
             assert count_shapes(n) == ordered_factorization_count(n), n
 
     @pytest.mark.parametrize("shape_filter", list(ShapeClass))
@@ -148,6 +150,24 @@ class TestEnumerateShapes:
         shapes = enumerate_shapes(n, shape_filter)
         assert len(built) == len(shapes)
 
+    def test_rectangular_query_needs_no_triangle(self, monkeypatch):
+        def no_triangles(target_states):
+            raise AssertionError("a rectangular query asked for the triangle")
+
+        monkeypatch.setattr(schemes, "is_triangular_feasible", no_triangles)
+        assert [s.lamp_counts for s in enumerate_shapes(720, ShapeClass.RECTANGULAR)] == []
+        assert [s.lamp_counts for s in enumerate_shapes(64, ShapeClass.RECTANGULAR)] == [
+            (1, 1, 1, 1, 1, 1), (3, 3, 3), (7, 7)]
+
+    def test_triangular_query_builds_no_rectangle(self, monkeypatch):
+        # the rectangles come from the gcd of the exponents; 4096 == 2**12 needs no rho
+        def no_rectangles(*args):
+            raise AssertionError("a triangular query worked out the rectangles")
+
+        monkeypatch.setattr(schemes, "gcd", no_rectangles)
+        assert enumerate_shapes(4096, ShapeClass.TRIANGULAR) == []
+        assert [s.lamp_counts for s in enumerate_shapes(720, ShapeClass.TRIANGULAR)] == [(1, 2, 3, 4, 5)]
+
     @given(st.integers(min_value=2, max_value=400))
     def test_products_hit_target_exactly(self, n):
         for shape in enumerate_shapes(n):
@@ -169,7 +189,10 @@ class TestEnumerateShapes:
 class TestFactorize:
     @pytest.mark.parametrize("n", [
         561, 41041, 825265,  # Carmichael numbers
-        3215031751, 2152302898747,  # strong pseudoprimes to bases 2..7 and 2..11
+        # the least strong pseudoprimes to the bases 2..3, 2..5, 2..7, 2..11, 2..13, 2..19
+        # and 2..31; three of them are tier bounds
+        1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        3825123056546413051,
         999983**2, 1000003**2, 999983**3, 1000003**3,
         2147483647 * 2147483629, 2147483659 * 2147483647,  # two primes near 2**31
     ])
@@ -183,6 +206,16 @@ class TestFactorize:
         n = 2**64 - 59
         assert _factorize(n) == {n: 1}
         assert lucas_proves_prime(n, [2, 2, 11, 137, 547, 5594472617641])
+
+    @pytest.mark.parametrize("twos, threes", [(3, 22), (4, 36)])  # inside the 2nd and 3rd tiers
+    def test_primes_of_the_middle_tiers(self, twos, threes):
+        n = 2**twos * 3**threes + 1
+        assert _factorize(n) == {n: 1}
+        assert lucas_proves_prime(n, [2] * twos + [3] * threes)
+
+    def test_is_prime_agrees_with_a_sieve_below_a_million(self):
+        sieve = prime_sieve(10**6)
+        assert [n for n in range(39, 10**6, 2) if _is_prime(n) != sieve[n]] == []
 
 
 class TestTriangularFeasibility:
