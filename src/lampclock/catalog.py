@@ -13,6 +13,7 @@ rejected at load time.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .codec import MAX_LAMPS_PER_ROW, RowScheme, RowSpec, derive_units, validate
@@ -57,9 +58,12 @@ def load_scheme(path: str | Path) -> RowScheme:
 
     path = Path(path)
     try:
-        with path.open("rb") as f:
+        # O_NONBLOCK: a FIFO with no writer opens at once and then reads as empty, where a
+        # blocking open would wait for a writer. Reads block again, so a pipe's data arrives.
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as f:
+            os.set_blocking(f.fileno(), True)
             raw = f.read(MAX_SCHEME_FILE_BYTES + 1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise InvalidSchemeError(f"cannot read scheme file {path}: {exc}") from exc
     if len(raw) > MAX_SCHEME_FILE_BYTES:
         raise InvalidSchemeError(f"scheme file {path} is larger than {MAX_SCHEME_FILE_BYTES} bytes")
@@ -103,7 +107,7 @@ def resolve_scheme(selector: str) -> RowScheme:
     """Turn a built-in name or a file path into a scheme."""
     if selector in BUILTIN_SCHEMES:
         return BUILTIN_SCHEMES[selector]
-    if selector.endswith(".json") or Path(selector).exists():
+    if selector.endswith(".json") or os.path.exists(selector):  # False, not OSError, for a name too long
         return load_scheme(selector)
     known = ", ".join(sorted(BUILTIN_SCHEMES))
     raise InvalidSchemeError(f"unknown scheme {selector!r} (built-ins: {known})")

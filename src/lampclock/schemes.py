@@ -13,6 +13,13 @@ rho). Its prime exponents give the number of layouts, so the cap is
 checked before any layout is built, and the few that are not irregular:
 the triangle if N == (n+1)!, k equal rows if k divides every exponent.
 Each layout is built once, with its class, and only if it is returned.
+
+The layouts come from one walk up the sorted divisors of N. Those of a
+divisor d are each factor f of d, ascending, as a first row, followed by
+each layout of d/f, which the walk has built already and in order. Under
+the cap N has at most 256 divisors, so the walk makes at most 32,640
+divisibility tests, one per pair f <= d above 1. The layouts it keeps for
+the divisors below N number at most H(N), freed before any shape is built.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from enum import Enum
 from math import comb, gcd, prod
 
-from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _Record, _set
+from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _Record
 from .catalog import make_scheme
 from .errors import EnumerationCapError
 
@@ -48,9 +55,9 @@ class SchemeShape(_Record):
     __slots__ = ("lamp_counts", "classification", "total_lamps")
 
     def __init__(self, lamp_counts: tuple[int, ...], classification: ShapeClass, total_lamps: int):
-        _set(self, "lamp_counts", lamp_counts)
-        _set(self, "classification", classification)
-        _set(self, "total_lamps", total_lamps)
+        _set_lamp_counts(self, lamp_counts)
+        _set_classification(self, classification)
+        _set_total_lamps(self, total_lamps)
 
     @classmethod
     def from_lamp_counts(cls, lamp_counts: tuple[int, ...]) -> "SchemeShape":
@@ -60,6 +67,10 @@ class SchemeShape(_Record):
     def state_count(self) -> int:
         return prod(c + 1 for c in self.lamp_counts)
 
+
+# The slots' own setters: one call each, where object.__setattr__ looks the name up on every shape
+_set_lamp_counts, _set_classification, _set_total_lamps = (
+    getattr(SchemeShape, name).__set__ for name in SchemeShape.__slots__)
 
 # Trial divisors. What trial division leaves is coprime to each, so each can be a Miller-Rabin base.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -170,24 +181,6 @@ def count_shapes(target_states: int) -> int:
     return _shape_count(_factorize(target_states))
 
 
-def _factor_sequences(divisors: list[int], remaining: int,
-                      lamps_prefix: tuple[int, ...], out: list[tuple[int, ...]]) -> None:
-    """Append to ``out`` the lamp counts of every ordered factorization of
-    ``remaining`` into ``divisors``, each after ``lamps_prefix``. Ascending
-    divisors give lexicographic order, and no sequence is a prefix of
-    another, because appending any factor >= 2 overshoots the product."""
-    for f in divisors:
-        if f > remaining:
-            break
-        if remaining % f:
-            continue
-        lamps = lamps_prefix + (f - 1,)
-        if f == remaining:
-            out.append(lamps)
-        else:
-            _factor_sequences(divisors, remaining // f, lamps, out)
-
-
 def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
                      limit: int = DEFAULT_SHAPE_LIMIT) -> list[SchemeShape]:
     """All row layouts with exactly ``target_states`` display states.
@@ -219,8 +212,14 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
     divisors = [1]
     for p, e in factors.items():
         divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    lamp_lists = []
-    _factor_sequences(sorted(divisors)[1:], target_states, (), lamp_lists)
+    divisors.sort()
+    heads = []  # each factor f >= 2 up to d, ascending, with its row (f - 1,), shared by all layouts
+    layouts = {1: [()]}  # the lamp counts of each divisor's layouts, in lexicographic order
+    for d in divisors[1:]:  # each layouts[d // f] is already built, and in order
+        heads.append((d, (d - 1,)))
+        layouts[d] = [head + rest for f, head in heads if d % f == 0 for rest in layouts[d // f]]
+    lamp_lists = layouts.pop(target_states)
+    del layouts  # the shorter layouts, up to H(N) tuples, are freed before any shape is built
     irregular = ShapeClass.IRREGULAR
     if shape_filter is None:
         return [SchemeShape(lamps, special.get(lamps, irregular), sum(lamps)) for lamps in lamp_lists]

@@ -109,6 +109,11 @@ def test_load_scheme_missing_file(tmp_path):
         load_scheme(tmp_path / "nowhere.json")
 
 
+def test_path_with_nul_byte_is_a_scheme_error():
+    with pytest.raises(InvalidSchemeError, match="null byte"):
+        resolve_scheme("nul\0.json")
+
+
 def test_resolve_builtin_and_path(tmp_path):
     assert resolve_scheme("berlin") is BERLIN
     path = write_scheme(

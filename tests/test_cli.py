@@ -1,10 +1,15 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import lampclock
 from lampclock import ScriptedTimeSource, TimeOfDay
 from lampclock.cli import (
     EXIT_INPUT,
@@ -16,6 +21,16 @@ from lampclock.cli import (
     cmd_tick,
     main,
 )
+
+
+SRC = Path(lampclock.__file__).resolve().parent.parent
+
+
+def spawn_cli(*argv, **kwargs):
+    """A separate ``python -m lampclock.cli`` process, for calls that could block."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "lampclock.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
 
 
 class TtyBuffer(io.StringIO):
@@ -236,6 +251,38 @@ class TestValidate:
         path.write_text(json.dumps({"name": "deep", "cycle_minutes": 720, "rows": [{"lamps": 1}] * 64}))
         assert main(["validate", str(path)]) == EXIT_SCHEME
         assert "below 2**64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["validate"], ["show", "--time", "04:49", "--scheme"]])
+    def test_name_too_long_for_a_path_is_an_unknown_scheme(self, argv, capsys):
+        assert main([*argv, "a" * 5000]) == EXIT_SCHEME
+        assert "unknown scheme" in capsys.readouterr().err
+
+    def test_fifo_without_writer_is_read_as_empty(self, tmp_path):
+        path = tmp_path / "fifo.json"
+        os.mkfifo(path)
+        proc = spawn_cli("validate", str(path))
+        try:
+            out, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+        assert proc.returncode == EXIT_SCHEME
+        assert "not valid JSON" in err
+
+    def test_pipe_waits_for_its_writer(self):
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as writer:
+            try:
+                proc = spawn_cli("validate", f"/dev/fd/{read_end}", pass_fds=(read_end,))
+            finally:
+                os.close(read_end)
+            try:
+                time.sleep(0.5)  # the child opens the pipe and waits in read before the data comes
+                writer.write('{"name": "piped", "cycle_minutes": 2, "rows": [{"lamps": 1}]}')
+                writer.close()
+                out, err = proc.communicate(timeout=10)
+            finally:
+                proc.kill()
+        assert (proc.returncode, out) == (EXIT_OK, "piped: ok\n"), err
 
 
 class TestTick:

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -84,6 +85,17 @@ class TestEnumerateShapes:
         finally:
             gc.enable()
 
+    def test_frees_the_shorter_layouts_before_building_shapes(self):
+        enumerate_shapes(12)  # module set-up, before tracing
+        tracemalloc.start()
+        try:
+            shapes = enumerate_shapes(5040)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(shapes) == 20128
+        assert peak < 1.25 * held, (peak, held)
+
     def test_cap_overflow(self):
         with pytest.raises(EnumerationCapError):
             enumerate_shapes(720, limit=100)
@@ -94,7 +106,8 @@ class TestEnumerateShapes:
         with pytest.raises(EnumerationCapError):
             enumerate_shapes(720, ShapeClass.TRIANGULAR, limit=100)
 
-    @pytest.mark.parametrize("n", range(2, 61))
+    # the larger targets share long suffixes between layouts, which the order must survive
+    @pytest.mark.parametrize("n", [*range(2, 61), 360, 720, 1024, 1296, 2520, 5040])
     def test_matches_exhaustive_factorizations(self, n):
         expected = sorted(
             tuple(f - 1 for f in factors) for factors in ordered_factorizations(n)
