@@ -30,8 +30,11 @@ def make_scheme(
     base_unit_minutes: int = 1,
 ) -> RowScheme:
     """Build a scheme from lamp counts, deriving units, and validate it."""
-    units = derive_units(lamp_counts)
-    rows = tuple(RowSpec(lamps, unit) for lamps, unit in zip(lamp_counts, units))
+    try:
+        units = derive_units(lamp_counts)
+        rows = tuple(RowSpec(lamps, unit) for lamps, unit in zip(lamp_counts, units))
+    except InvalidSchemeError as exc:
+        raise InvalidSchemeError(f"scheme {name!r}: {exc}") from exc
     scheme = RowScheme(name, rows, cycle_minutes, base_unit_minutes)
     report = validate(scheme)
     if not report.ok:
@@ -84,16 +87,13 @@ def load_scheme(path: str | Path) -> RowScheme:
 
     if not isinstance(name, str) or not name:
         raise InvalidSchemeError(f"scheme file {path}: 'name' must be a non-empty string")
-    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-    if type(cycle_minutes) is not int or type(base_unit_minutes) is not int:
-        raise InvalidSchemeError(f"scheme file {path}: minute fields must be integers")
     if not isinstance(row_entries, list) or not row_entries:
         raise InvalidSchemeError(f"scheme file {path}: 'rows' must be a non-empty list")
 
     lamp_counts = []
     for i, entry in enumerate(row_entries):
         lamps = entry.get("lamps") if isinstance(entry, dict) else None
-        if type(lamps) is not int or lamps > MAX_LAMPS_PER_ROW:
+        if type(lamps) is not int or lamps > MAX_LAMPS_PER_ROW:  # type(): JSON true loads as bool
             raise InvalidSchemeError(
                 f"scheme file {path}: rows[{i}] must be an object with integer 'lamps', "
                 f"at most {MAX_LAMPS_PER_ROW}"

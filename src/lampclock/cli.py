@@ -1,8 +1,8 @@
 """Command-line interface: show, tick, decode, schemes, validate.
 
-Exit codes: 0 on success, 2 for bad input (times, bit strings, flags,
-enumeration targets), 3 for scheme problems (unknown name, unreadable or
-invalid scheme file).
+Exit codes: 0 on success, also when the reader of stdout goes away; 1 when
+stdout cannot be written; 2 for bad input (times, bit strings, flags, enumeration
+targets); 3 for scheme problems (unknown name, unreadable or invalid scheme file).
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from .catalog import resolve_scheme
 from .codec import (DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, Meridiem, RowScheme, TimeOfDay, decode,
                     encode, validate)
 from .errors import ClockError, InvalidSchemeError
-from .render import Layout, RenderFormat, RenderSpec, parse_bits, render
+from .render import Layout, RenderFormat, RenderSpec, default_layout, parse_bits, render
 from .timesource import ScriptedTimeSource, SystemTimeSource, TimeSource
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_INPUT = 2
 EXIT_SCHEME = 3
 
@@ -41,18 +42,10 @@ def _silence_stream(stream: TextIO) -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
-def _is_tty(out: TextIO) -> bool:
-    return bool(getattr(out, "isatty", lambda: False)())
-
-
 def _render_spec(args: argparse.Namespace, scheme: RowScheme, out: TextIO) -> RenderSpec:
-    if args.layout is not None:
-        layout = Layout(args.layout)
-    else:
-        berlin = scheme.name == "berlin" and len(scheme.rows) == 4
-        layout = Layout.BERLIN_BLOCKS if berlin else Layout.TRIANGLE_CENTERED
+    layout = Layout(args.layout) if args.layout else default_layout(scheme)
     if args.color == "auto":
-        use_color = "NO_COLOR" not in os.environ and _is_tty(out)
+        use_color = "NO_COLOR" not in os.environ and out.isatty()
     else:
         use_color = args.color == "always"
     return RenderSpec(format=RenderFormat(args.format), layout=layout, use_color=use_color)
@@ -85,9 +78,9 @@ def run_tick(
 
     The state is re-encoded and re-rendered only when the displayed
     minute changes; unchanged minutes re-emit the cached frame. The loop
-    ends when the source is exhausted, ``max_polls`` is reached, or the
-    user interrupts; interruption restores the cursor and still counts
-    as a clean exit.
+    ends when the source is exhausted, ``max_polls`` is reached or the
+    user interrupts, each a clean exit, or when a write fails, which is
+    raised; the cursor is restored on every way out.
     """
     last_minute: int | None = None
     frame = ""
@@ -111,15 +104,12 @@ def run_tick(
                 sleep(interval)
     except KeyboardInterrupt:
         pass
-    except BrokenPipeError:
-        _silence_stream(out)
-        return EXIT_OK
     finally:
         if redraw_in_place:
             try:
                 out.write(SHOW_CURSOR)
                 out.flush()
-            except (BrokenPipeError, ValueError):
+            except (OSError, ValueError):  # keep the error that ended the loop, if any
                 pass
     return EXIT_OK
 
@@ -138,7 +128,7 @@ def cmd_tick(
     elif source is None:
         source = SystemTimeSource()
     spec = _render_spec(args, scheme, out)
-    in_place = spec.format is RenderFormat.ANSI and _is_tty(out)
+    in_place = spec.format is RenderFormat.ANSI and out.isatty()
     return run_tick(scheme, spec, source, args.interval, out,
                     sleep=sleep, max_polls=max_polls, redraw_in_place=in_place)
 
@@ -175,12 +165,9 @@ def cmd_schemes(args: argparse.Namespace, out: TextIO | None = None) -> int:
 def cmd_validate(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
     scheme = resolve_scheme(args.scheme_file or args.scheme)
-    report = validate(scheme)
-    if report.ok:
-        print(f"{scheme.name}: ok", file=out)
-        return EXIT_OK
-    print(report, file=out)
-    return EXIT_SCHEME
+    # resolve_scheme only returns valid schemes, so the report always reads "ok"
+    print(f"{scheme.name}: {validate(scheme)}", file=out)
+    return EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -275,16 +262,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a failed write of buffered output is caught below
+        return code
     except InvalidSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEME
     except (ValueError, ClockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BrokenPipeError:
+    except OSError as exc:  # a failed write: load_scheme turns read errors into InvalidSchemeError
         _silence_stream(sys.stdout)
-        return EXIT_OK
+        if isinstance(exc, BrokenPipeError):  # the reader went away, which is no failure
+            return EXIT_OK
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -82,10 +82,11 @@ class RowSpec(_Record):
     __slots__ = ("lamp_count", "unit_value")
 
     def __init__(self, lamp_count: int, unit_value: int):
-        if lamp_count < 1:
-            raise InvalidSchemeError(f"row needs at least one lamp, got {lamp_count}")
-        if unit_value < 1:
-            raise InvalidSchemeError(f"unit value must be positive, got {unit_value}")
+        # type() rather than isinstance(), here and in RowScheme: bool is an int subclass
+        if type(lamp_count) is not int or lamp_count < 1:
+            raise InvalidSchemeError(f"lamp count must be a positive integer, got {lamp_count!r}")
+        if type(unit_value) is not int or unit_value < 1:
+            raise InvalidSchemeError(f"unit value must be a positive integer, got {unit_value!r}")
         _set(self, "lamp_count", lamp_count)
         _set(self, "unit_value", unit_value)
 
@@ -106,11 +107,11 @@ class RowScheme(_Record):
                  base_unit_minutes: int = 1):
         rows = tuple(rows)
         if not rows:
-            raise InvalidSchemeError("scheme needs at least one row")
-        if cycle_minutes < 1:
-            raise InvalidSchemeError("cycle_minutes must be positive")
-        if base_unit_minutes < 1:
-            raise InvalidSchemeError("base_unit_minutes must be positive")
+            raise InvalidSchemeError(f"scheme {name!r} needs at least one row")
+        if type(cycle_minutes) is not int or cycle_minutes < 1:
+            raise InvalidSchemeError(f"scheme {name!r}: cycle_minutes must be a positive integer")
+        if type(base_unit_minutes) is not int or base_unit_minutes < 1:
+            raise InvalidSchemeError(f"scheme {name!r}: base_unit_minutes must be a positive integer")
         _set(self, "name", name)
         _set(self, "rows", rows)
         _set(self, "cycle_minutes", cycle_minutes)

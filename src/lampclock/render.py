@@ -73,23 +73,34 @@ class RenderSpec(_Record):
         _set(self, "use_color", use_color)
 
 
+def default_layout(scheme: RowScheme) -> Layout:
+    """Blocks for the Berlin clock, a 4-row scheme named "berlin"; a centered triangle otherwise."""
+    berlin = scheme.name == "berlin" and len(scheme.rows) == 4
+    return Layout.BERLIN_BLOCKS if berlin else Layout.TRIANGLE_CENTERED
+
+
 def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     """Serialize a state in the format chosen by ``spec``."""
+    if spec.format is RenderFormat.JSON:
+        return _render_json(state, scheme)  # which checks the state as it decodes it
     _check_state(state, scheme)
     if spec.format is RenderFormat.BITS:
         return _render_bits(state, scheme)
-    if spec.format is RenderFormat.JSON:
-        return _render_json(state, scheme)
+    if spec.layout is Layout.BERLIN_BLOCKS and len(scheme.rows) != 4:
+        raise RenderError(
+            f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
+        )
     if spec.format is RenderFormat.ANSI:
         return _render_ansi(state, scheme, spec)
     return _render_svg(state, scheme, spec)
 
 
-def _check_width(scheme: RowScheme) -> None:
-    """Refuse a row too wide to draw before drawing any of it."""
+def _check_width(scheme: RowScheme) -> int:
+    """Refuse a row too wide to draw before drawing any of it; return the widest row's lamp count."""
     widest = max(row.lamp_count for row in scheme.rows)
     if widest > MAX_LAMPS_PER_ROW:
         raise RenderError(f"a row of {widest} lamps is too wide to draw (at most {MAX_LAMPS_PER_ROW})")
+    return widest
 
 
 def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
@@ -117,11 +128,6 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
 def _cells(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
     """Yield ``(row, lamp, lit, color)`` for every lamp, top row first,
     with 0-based indices; ``color`` is the lit color, None when unlit."""
-    if spec.layout is Layout.BERLIN_BLOCKS and len(scheme.rows) != 4:
-        raise RenderError(
-            f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
-        )
-    _check_width(scheme)
     meridiem_color = {Meridiem.AM: spec.am_color, Meridiem.PM: spec.pm_color}.get(state.meridiem)
     for k, (digit, row) in enumerate(zip(state.digits, scheme.rows)):
         for i in range(row.lamp_count):
@@ -136,6 +142,7 @@ def _cells(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
 
 
 def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
+    max_lamps = _check_width(scheme)
     blocks = spec.layout is Layout.BERLIN_BLOCKS
     lines: list[list[str]] = [[] for _ in scheme.rows]
     for k, _, lit, color in _cells(state, scheme, spec):
@@ -148,7 +155,6 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
     # Padding is computed from lamp counts, not rendered text, so that
     # invisible ANSI escape bytes do not skew the alignment.
     cell_width = 3 if blocks else 2
-    max_lamps = max(row.lamp_count for row in scheme.rows)
     joiner = "" if blocks else " "
     padded = []
     for row, cells in zip(scheme.rows, lines):
@@ -159,7 +165,7 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
 
 def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     pitch = SVG_PITCH
-    max_lamps = max(row.lamp_count for row in scheme.rows)
+    max_lamps = _check_width(scheme)
     width = max_lamps * pitch
     height = len(scheme.rows) * pitch
 

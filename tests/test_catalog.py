@@ -78,6 +78,10 @@ def test_load_scheme_capacity_shortfall_rejected(tmp_path):
         {"name": "x", "cycle_minutes": 2, "rows": [{"lamps": True}]},  # JSON booleans
         {"name": "x", "cycle_minutes": True, "rows": [{"lamps": 1}]},
         {"name": "x", "cycle_minutes": 2, "base_unit_minutes": True, "rows": [{"lamps": 1}]},
+        {"name": "x", "cycle_minutes": 2.0, "rows": [{"lamps": 1}]},
+        {"name": "x", "cycle_minutes": [2], "rows": [{"lamps": 1}]},
+        {"name": "x", "cycle_minutes": 2, "base_unit_minutes": 1.5, "rows": [{"lamps": 1}]},
+        {"name": "x", "cycle_minutes": 2, "rows": [{"lamps": 1.0}]},
     ],
 )
 def test_load_scheme_malformed_payloads(tmp_path, payload):

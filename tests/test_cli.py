@@ -14,6 +14,7 @@ from lampclock import ScriptedTimeSource, TimeOfDay
 from lampclock.cli import (
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_SCHEME,
     build_parser,
     cmd_decode,
@@ -26,16 +27,21 @@ from lampclock.cli import (
 SRC = Path(lampclock.__file__).resolve().parent.parent
 
 
-def spawn_cli(*argv, **kwargs):
-    """A separate ``python -m lampclock.cli`` process, for calls that could block."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.Popen([sys.executable, "-m", "lampclock.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
+def spawn_cli(*argv, env=os.environ, stdout=subprocess.PIPE, **kwargs):
+    """A separate ``python -m lampclock.cli`` process, for calls that could
+    block or that need real output streams."""
+    return subprocess.Popen([sys.executable, "-m", "lampclock.cli", *argv],
+                            env=dict(env, PYTHONPATH=str(SRC)),
+                            stdout=stdout, stderr=subprocess.PIPE, text=True, **kwargs)
 
 
 class TtyBuffer(io.StringIO):
     def isatty(self):
         return True
+
+
+def case_id(argv):
+    return " ".join(argv)
 
 
 def parse(*argv):
@@ -380,6 +386,53 @@ class TestTick:
         source = ScriptedTimeSource(iter(times))
         assert list(iter(source.now, None)) == times
         assert source.now() is None
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def stdout_env(request):
+    """The environment of a CLI process whose stdout is block-buffered,
+    or written through at once."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestOutputFailure:
+    """A reader that goes away ends the command quietly and successfully;
+    a write that fails for any other reason is one error line and exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["schemes", "40320", "--limit", "1000000"],
+        ["tick", "--time", "04:49", "--format", "bits"],
+        ["show", "--time", "04:49"],
+    ], ids=case_id)
+    def test_closed_pipe_is_a_quiet_success(self, argv, stdout_env):
+        with spawn_cli(*argv, env=stdout_env) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=10)
+            finally:
+                proc.kill()
+            err = proc.stderr.read()
+        assert first and (code, err) == (EXIT_OK, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", [
+        ["schemes", "720"],
+        ["tick", "--time", "04:49", "--format", "bits"],
+        ["show", "--time", "04:49"],
+    ], ids=case_id)
+    def test_full_device_is_one_error_line(self, argv, stdout_env):
+        with open("/dev/full", "w") as full:
+            proc = spawn_cli(*argv, env=stdout_env, stdout=full)
+            try:
+                _, err = proc.communicate(timeout=10)
+            finally:
+                proc.kill()
+        assert proc.returncode == EXIT_OUTPUT, err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
 
 
 def strip_escapes(text):

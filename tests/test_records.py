@@ -21,6 +21,7 @@ from lampclock import (
     TimeOfDay,
     ValidationReport,
     Violation,
+    make_scheme,
 )
 
 SHORT = Violation("capacity", None, "short")
@@ -130,17 +131,26 @@ def test_pickle_and_copy_round_trip(name):
 
 
 class TestConstructors:
-    @pytest.mark.parametrize("lamps, unit", [(0, 1), (1, 0), (-1, 5)])
+    @pytest.mark.parametrize("lamps, unit", [
+        (0, 1), (1, 0), (-1, 5), (1.5, 1), (2.0, 1), (True, 1), ("2", 1), (1, 1.0), (1, True),
+    ])
     def test_row_spec_rejects(self, lamps, unit):
         with pytest.raises(InvalidSchemeError):
             RowSpec(lamps, unit)
 
     @pytest.mark.parametrize("rows, cycle, base", [
         ((), 1, 1), ((RowSpec(1, 1),), 0, 1), ((RowSpec(1, 1),), 2, 0),
+        ((RowSpec(1, 1),), 6.0, 1), ((RowSpec(1, 1),), True, 1), ((RowSpec(1, 1),), "2", 1),
+        ((RowSpec(1, 1),), 2, 1.0), ((RowSpec(1, 1),), 2, True),
     ])
     def test_row_scheme_rejects(self, rows, cycle, base):
-        with pytest.raises(InvalidSchemeError):
+        with pytest.raises(InvalidSchemeError, match="scheme 's'"):
             RowScheme("s", rows, cycle, base)
+
+    @pytest.mark.parametrize("lamps, cycle", [([1.5, 2], 6), ([True, 2], 6), ([1, 2], 6.0)])
+    def test_make_scheme_rejects_non_integers(self, lamps, cycle):
+        with pytest.raises(InvalidSchemeError, match="scheme 'x'"):
+            make_scheme("x", lamps, cycle)
 
     def test_row_scheme_rows_become_a_tuple(self):
         rows = [RowSpec(2, 1)]
