@@ -171,10 +171,13 @@ def cmd_validate(args: argparse.Namespace, out: TextIO | None = None) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
 
 
 def _interval(text: str) -> int:

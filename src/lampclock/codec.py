@@ -203,8 +203,8 @@ def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
     counts = list(lamp_counts)
     if not counts:
         raise InvalidSchemeError("lamp_counts must not be empty")
-    if any(c < 1 for c in counts):
-        raise InvalidSchemeError(f"every row needs at least one lamp: {counts}")
+    if any(type(c) is not int or c < 1 for c in counts):  # type(): bool is an int subclass
+        raise InvalidSchemeError(f"every row needs a positive integer lamp count: {counts}")
 
     units, states = [], 1
     for row, lamps in zip(range(len(counts), 0, -1), reversed(counts)):

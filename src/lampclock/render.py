@@ -45,7 +45,7 @@ ANSI_COLOR_CODES = {
 DEFAULT_LIT_COLOR = "yellow"
 ACCENT_COLOR = "red"
 UNLIT_SVG_FILL = "#dddddd"
-SVG_PITCH = 40
+SVG_PITCH = 40  # even, so that circle centres (multiples of half the pitch) are whole numbers
 
 
 class RenderSpec(_Record):
@@ -125,31 +125,29 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
     )
 
 
-def _cells(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
-    """Yield ``(row, lamp, lit, color)`` for every lamp, top row first,
-    with 0-based indices; ``color`` is the lit color, None when unlit."""
+def _rows(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
+    """Yield ``(row, digit, colors)`` for every row, top row first, where
+    ``colors`` holds the color of each of the row's ``digit`` lit lamps.
+
+    Every lit lamp takes the meridiem's color. With no meridiem, lit lamps
+    are yellow, except that every third lamp of an 11-lamp row is red.
+    """
     meridiem_color = {Meridiem.AM: spec.am_color, Meridiem.PM: spec.pm_color}.get(state.meridiem)
-    for k, (digit, row) in enumerate(zip(state.digits, scheme.rows)):
-        for i in range(row.lamp_count):
-            if i >= digit:
-                yield k, i, False, None
-            elif meridiem_color:
-                yield k, i, True, meridiem_color
-            elif row.lamp_count == 11 and (i + 1) % 3 == 0:
-                yield k, i, True, ACCENT_COLOR
-            else:
-                yield k, i, True, DEFAULT_LIT_COLOR
+    for digit, row in zip(state.digits, scheme.rows):
+        if meridiem_color:
+            colors = [meridiem_color] * digit
+        elif row.lamp_count == 11:
+            colors = [ACCENT_COLOR if i % 3 == 2 else DEFAULT_LIT_COLOR for i in range(digit)]
+        else:
+            colors = [DEFAULT_LIT_COLOR] * digit
+        yield row, digit, colors
 
 
 def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     max_lamps = _check_width(scheme)
     blocks = spec.layout is Layout.BERLIN_BLOCKS
-    lines: list[list[str]] = [[] for _ in scheme.rows]
-    for k, _, lit, color in _cells(state, scheme, spec):
-        glyph = spec.lit_glyph if lit else spec.unlit_glyph
-        if lit and spec.use_color:
-            glyph = f"\x1b[{ANSI_COLOR_CODES[color]}m{glyph}\x1b[0m"
-        lines[k].append(f"[{glyph}]" if blocks else glyph)
+    left, right = ("[", "]") if blocks else ("", "")
+    lit, unlit = f"{left}{spec.lit_glyph}{right}", f"{left}{spec.unlit_glyph}{right}"
 
     # Center each row over the widest row (the bottom row of a triangle).
     # Padding is computed from lamp counts, not rendered text, so that
@@ -157,7 +155,12 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
     cell_width = 3 if blocks else 2
     joiner = "" if blocks else " "
     padded = []
-    for row, cells in zip(scheme.rows, lines):
+    for row, digit, colors in _rows(state, scheme, spec):
+        if spec.use_color:
+            cells = [f"{left}\x1b[{ANSI_COLOR_CODES[c]}m{spec.lit_glyph}\x1b[0m{right}" for c in colors]
+        else:
+            cells = [lit] * digit
+        cells += [unlit] * (row.lamp_count - digit)
         pad = 0 if spec.layout is Layout.LEFT_ALIGNED else (max_lamps - row.lamp_count) * cell_width // 2
         padded.append(" " * pad + joiner.join(cells))
     return "\n".join(padded)
@@ -170,27 +173,23 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str
     height = len(scheme.rows) * pitch
 
     shapes = []
-    for k, i, lit, color in _cells(state, scheme, spec):
-        row = scheme.rows[k]
+    for k, (row, digit, colors) in enumerate(_rows(state, scheme, spec)):
+        lamps = row.lamp_count
+        fills = colors + [UNLIT_SVG_FILL] * (lamps - digit)
         y = k * pitch
-        fill = color if lit else UNLIT_SVG_FILL
         if spec.layout is Layout.BERLIN_BLOCKS:
-            cell = width / row.lamp_count
-            shapes.append(
-                f'<rect x="{i * cell + 2:g}" y="{y + 2}" '
-                f'width="{cell - 4:g}" height="{pitch - 4}" fill="{fill}"/>'
-            )
+            cell = width / lamps
+            rest = f'" y="{y + 2}" width="{cell - 4:g}" height="{pitch - 4}" fill="'
+            shapes += [f'  <rect x="{i * cell + 2:g}{rest}{fill}"/>' for i, fill in enumerate(fills)]
         else:
-            if spec.layout is Layout.TRIANGLE_CENTERED:
-                x_origin = (max_lamps - row.lamp_count) * pitch / 2
-            else:
-                x_origin = 0.0
-            cx = x_origin + i * pitch + pitch / 2
-            shapes.append(
-                f'<circle cx="{cx:g}" cy="{y + pitch / 2:g}" r="{pitch * 2 // 5}" fill="{fill}"/>'
-            )
+            # An even pitch makes every centre a whole number, and _check_width keeps it at
+            # most 1440 * 40 < 10**6, where an int prints as :g would print it.
+            x0 = (max_lamps - lamps) * pitch // 2 if spec.layout is Layout.TRIANGLE_CENTERED else 0
+            rest = f'" cy="{y + pitch / 2:g}" r="{pitch * 2 // 5}" fill="'
+            shapes += [f'  <circle cx="{cx}{rest}{fill}"/>'
+                       for cx, fill in zip(range(x0 + pitch // 2, x0 + lamps * pitch, pitch), fills)]
 
-    body = "\n".join(f"  {s}" for s in shapes)
+    body = "\n".join(shapes)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -40,6 +40,7 @@ ERROR_CASES = [
     ["schemes", "720", "--triangular", "--irregular"],
     ["schemes", "seven"],
     ["schemes", "720", "--limit", "0"],
+    ["schemes", "720", "--limit", "abc"],
 ]
 
 CASES = HELP_CASES + ERROR_CASES

@@ -71,6 +71,13 @@ class TestDeriveUnits:
         with pytest.raises(InvalidSchemeError):
             derive_units(counts)
 
+    @pytest.mark.parametrize("counts", [["a"], [None], [1, "3"], [2.0], [True]], ids=repr)
+    def test_non_integer_lamp_count_rejected(self, counts):
+        with pytest.raises(InvalidSchemeError, match="positive integer lamp count"):
+            derive_units(counts)
+        with pytest.raises(InvalidSchemeError, match="scheme 'x'"):
+            make_scheme("x", counts, 6)
+
     def test_capacity_below_2_to_the_64(self):
         assert derive_units([1] * 63)[0] == 2**62  # 2**63 states
         with pytest.raises(InvalidSchemeError, match=r"2\*\*64.*rows 1 to 64"):

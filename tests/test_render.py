@@ -20,6 +20,8 @@ from lampclock import (
     RenderError,
     RenderFormat,
     RenderSpec,
+    RowScheme,
+    RowSpec,
     TimeOfDay,
     decode,
     encode,
@@ -242,6 +244,97 @@ class TestSvg:
         spec = RenderSpec(format=RenderFormat.SVG, layout=Layout.BERLIN_BLOCKS)
         with pytest.raises(RenderError):
             render(state_at("04:49"), TRIANGULAR, spec)
+
+
+class TestExactBytes:
+    """Whole outputs pinned byte for byte, on faces that golden_cli.json does not reach:
+    fractional block cells, the widest row, a cy past 10**6 and every accent."""
+
+    HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+
+    def test_blocks_with_fractional_cells(self):
+        scheme = make_scheme("w", [3, 7, 11, 5], 1440)
+        state = state_at("10:31", scheme)
+        assert state.digits == (1, 0, 9, 1)
+        spec = RenderSpec(format=RenderFormat.SVG, layout=Layout.BERLIN_BLOCKS)
+        assert render(state, scheme, spec) == self.HEAD + (
+            'width="440" height="160" viewBox="0 0 440 160">\n'
+            '  <rect x="2" y="2" width="142.667" height="36" fill="yellow"/>\n'
+            '  <rect x="148.667" y="2" width="142.667" height="36" fill="#dddddd"/>\n'
+            '  <rect x="295.333" y="2" width="142.667" height="36" fill="#dddddd"/>\n'
+            '  <rect x="2" y="42" width="58.8571" height="36" fill="#dddddd"/>\n'
+            '  <rect x="64.8571" y="42" width="58.8571" height="36" fill="#dddddd"/>\n'
+            '  <rect x="127.714" y="42" width="58.8571" height="36" fill="#dddddd"/>\n'
+            '  <rect x="190.571" y="42" width="58.8571" height="36" fill="#dddddd"/>\n'
+            '  <rect x="253.429" y="42" width="58.8571" height="36" fill="#dddddd"/>\n'
+            '  <rect x="316.286" y="42" width="58.8571" height="36" fill="#dddddd"/>\n'
+            '  <rect x="379.143" y="42" width="58.8571" height="36" fill="#dddddd"/>\n'
+            '  <rect x="2" y="82" width="36" height="36" fill="yellow"/>\n'
+            '  <rect x="42" y="82" width="36" height="36" fill="yellow"/>\n'
+            '  <rect x="82" y="82" width="36" height="36" fill="red"/>\n'
+            '  <rect x="122" y="82" width="36" height="36" fill="yellow"/>\n'
+            '  <rect x="162" y="82" width="36" height="36" fill="yellow"/>\n'
+            '  <rect x="202" y="82" width="36" height="36" fill="red"/>\n'
+            '  <rect x="242" y="82" width="36" height="36" fill="yellow"/>\n'
+            '  <rect x="282" y="82" width="36" height="36" fill="yellow"/>\n'
+            '  <rect x="322" y="82" width="36" height="36" fill="red"/>\n'
+            '  <rect x="362" y="82" width="36" height="36" fill="#dddddd"/>\n'
+            '  <rect x="402" y="82" width="36" height="36" fill="#dddddd"/>\n'
+            '  <rect x="2" y="122" width="84" height="36" fill="yellow"/>\n'
+            '  <rect x="90" y="122" width="84" height="36" fill="#dddddd"/>\n'
+            '  <rect x="178" y="122" width="84" height="36" fill="#dddddd"/>\n'
+            '  <rect x="266" y="122" width="84" height="36" fill="#dddddd"/>\n'
+            '  <rect x="354" y="122" width="84" height="36" fill="#dddddd"/>\n'
+            '</svg>\n'
+        )
+
+    @pytest.mark.parametrize("layout,x0", [(Layout.TRIANGLE_CENTERED, 28740), (Layout.LEFT_ALIGNED, 0)])
+    def test_widest_row_circles(self, layout, x0):
+        scheme = make_scheme("wide", [3, MAX_LAMPS_PER_ROW], 1440)
+        state = DisplayState((2, MAX_LAMPS_PER_ROW - 1))
+        spec = RenderSpec(format=RenderFormat.SVG, layout=layout)
+        top = [f'  <circle cx="{x0 + 40 * i + 20}" cy="20" r="16" fill="{fill}"/>'
+               for i, fill in enumerate(["yellow", "yellow", "#dddddd"])]
+        bottom = [f'  <circle cx="{40 * i + 20}" cy="60" r="16" fill="yellow"/>'
+                  for i in range(MAX_LAMPS_PER_ROW - 1)]
+        last = '  <circle cx="57580" cy="60" r="16" fill="#dddddd"/>'  # the largest cx
+        assert render(state, scheme, spec) == self.HEAD + (
+            'width="57600" height="80" viewBox="0 0 57600 80">\n'
+            + "\n".join(top + bottom + [last]) + "\n</svg>\n"
+        )
+
+    def test_cy_past_a_million_keeps_its_g_format(self):
+        rows = 25_001
+        scheme = RowScheme("tall", tuple(RowSpec(1, 1) for _ in range(rows)), 1440)
+        svg = render(DisplayState((1,) * rows), scheme, RenderSpec(format=RenderFormat.SVG))
+        lines = svg.splitlines()
+        assert lines[1] == ('<svg xmlns="http://www.w3.org/2000/svg" width="40" height="1000040" '
+                            'viewBox="0 0 40 1000040">')
+        assert lines[2] == '  <circle cx="20" cy="20" r="16" fill="yellow"/>'
+        assert lines[-3] == '  <circle cx="20" cy="999980" r="16" fill="yellow"/>'
+        assert lines[-2] == '  <circle cx="20" cy="1.00002e+06" r="16" fill="yellow"/>'
+        assert lines[-1] == "</svg>"
+        assert len(lines) == rows + 3
+
+    @pytest.mark.parametrize("meridiem", [None, Meridiem.AM, Meridiem.PM], ids=str)
+    @pytest.mark.parametrize("digit", range(12))
+    def test_ansi_eleven_lamp_row_in_color(self, digit, meridiem):
+        cycle = 1440 if meridiem is None else 720
+        scheme = RowScheme("eleven", (RowSpec(11, 1),), cycle)
+        painted = {"yellow": "\x1b[33m●\x1b[0m", "red": "\x1b[31m●\x1b[0m", "green": "\x1b[32m●\x1b[0m"}
+        if meridiem is None:  # every third lamp accented red, the rest yellow
+            colors = ["red" if i % 3 == 2 else "yellow" for i in range(digit)]
+        else:
+            colors = ["green" if meridiem is Meridiem.AM else "red"] * digit
+        expected = " ".join([painted[c] for c in colors] + ["○"] * (11 - digit))
+        assert render(DisplayState((digit,), meridiem), scheme, RenderSpec()) == expected
+
+    def test_ansi_berlin_blocks_in_color(self):
+        spec = RenderSpec(layout=Layout.BERLIN_BLOCKS)
+        assert render(state_at("10:31", BERLIN), BERLIN, spec).splitlines()[2] == (
+            "[\x1b[33m●\x1b[0m][\x1b[33m●\x1b[0m][\x1b[31m●\x1b[0m]"
+            "[\x1b[33m●\x1b[0m][\x1b[33m●\x1b[0m][\x1b[31m●\x1b[0m]" + "[○]" * 5
+        )
 
 
 class TestRowWidthBound:
