@@ -42,26 +42,23 @@ def _silence_stream(stream: TextIO) -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
-def _render_spec(args: argparse.Namespace, scheme: RowScheme, out: TextIO) -> RenderSpec:
+def _setup(args: argparse.Namespace, out: TextIO, source: TimeSource | None,
+           polls: int | None) -> tuple[RowScheme, RenderSpec, TimeSource]:
+    """The scheme, render spec and time source of ``show`` and ``tick``. ``--time``
+    pins the source to one time, read ``polls`` times (or endlessly); else the given
+    source or the clock."""
+    scheme = resolve_scheme(args.scheme)
+    if args.time is not None:
+        t = TimeOfDay.parse(args.time)
+        source = ScriptedTimeSource(itertools.repeat(t) if polls is None else itertools.repeat(t, polls))
+    elif source is None:
+        source = SystemTimeSource()
     layout = Layout(args.layout) if args.layout else default_layout(scheme)
     if args.color == "auto":
         use_color = "NO_COLOR" not in os.environ and out.isatty()
     else:
         use_color = args.color == "always"
-    return RenderSpec(format=RenderFormat(args.format), layout=layout, use_color=use_color)
-
-
-def cmd_show(args: argparse.Namespace, out: TextIO | None = None,
-             source: TimeSource | None = None) -> int:
-    out = out or sys.stdout
-    scheme = resolve_scheme(args.scheme)
-    if args.time is not None:
-        t = TimeOfDay.parse(args.time)
-    else:
-        t = (source or SystemTimeSource()).now()
-    frame = render(encode(t, scheme), scheme, _render_spec(args, scheme, out))
-    print(frame, file=out)
-    return EXIT_OK
+    return scheme, RenderSpec(format=RenderFormat(args.format), layout=layout, use_color=use_color), source
 
 
 def run_tick(
@@ -114,27 +111,26 @@ def run_tick(
     return EXIT_OK
 
 
+def cmd_show(args: argparse.Namespace, out: TextIO) -> int:
+    """One frame: a single poll of the tick loop, never redrawn in place."""
+    scheme, spec, source = _setup(args, out, None, 1)
+    return run_tick(scheme, spec, source, 0, out, max_polls=1)
+
+
 def cmd_tick(
     args: argparse.Namespace,
-    out: TextIO | None = None,
+    out: TextIO,
     source: TimeSource | None = None,
     sleep: Callable[[float], None] = time.sleep,
     max_polls: int | None = None,
 ) -> int:
-    out = out or sys.stdout
-    scheme = resolve_scheme(args.scheme)
-    if args.time is not None:
-        source = ScriptedTimeSource(itertools.repeat(TimeOfDay.parse(args.time)))
-    elif source is None:
-        source = SystemTimeSource()
-    spec = _render_spec(args, scheme, out)
+    scheme, spec, source = _setup(args, out, source, max_polls)
     in_place = spec.format is RenderFormat.ANSI and out.isatty()
     return run_tick(scheme, spec, source, args.interval, out,
                     sleep=sleep, max_polls=max_polls, redraw_in_place=in_place)
 
 
-def cmd_decode(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    out = out or sys.stdout
+def cmd_decode(args: argparse.Namespace, out: TextIO) -> int:
     scheme = resolve_scheme(args.scheme)
     state = parse_bits(args.bits, scheme, args.meridiem)
     print(decode(state, scheme), file=out)
@@ -148,10 +144,9 @@ def enumerate_shapes(*args, **kwargs):
     return enumerate_shapes(*args, **kwargs)
 
 
-def cmd_schemes(args: argparse.Namespace, out: TextIO | None = None) -> int:
+def cmd_schemes(args: argparse.Namespace, out: TextIO) -> int:
     from .schemes import ShapeClass, count_shapes
 
-    out = out or sys.stdout
     if args.count:
         print(count_shapes(args.target), file=out)
         return EXIT_OK
@@ -162,8 +157,7 @@ def cmd_schemes(args: argparse.Namespace, out: TextIO | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    out = out or sys.stdout
+def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
     scheme = resolve_scheme(args.scheme_file or args.scheme)
     # resolve_scheme only returns valid schemes, so the report always reads "ok"
     print(f"{scheme.name}: {validate(scheme)}", file=out)
@@ -265,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:
-        code = args.func(args)
+        code = args.func(args, sys.stdout)
         sys.stdout.flush()  # here, so that a failed write of buffered output is caught below
         return code
     except InvalidSchemeError as exc:

@@ -56,6 +56,9 @@ class RenderSpec(_Record):
     def __init__(self, format: RenderFormat = RenderFormat.ANSI, lit_glyph: str = "●",
                  unlit_glyph: str = "○", am_color: str = "green", pm_color: str = "red",
                  layout: Layout = Layout.TRIANGLE_CENTERED, use_color: bool = True):
+        for value, kind in ((format, RenderFormat), (layout, Layout)):
+            if not isinstance(value, kind):
+                raise ValueError(f"{kind.__name__} expected, got {value!r}")
         for glyph in (lit_glyph, unlit_glyph):
             if len(glyph) != 1 or not glyph.isprintable() or glyph.isspace():
                 raise ValueError(f"glyph must be a single visible character: {glyph!r}")

@@ -12,16 +12,20 @@ import pytest
 import lampclock
 from lampclock import ScriptedTimeSource, TimeOfDay
 from lampclock.cli import (
+    CLEAR_AND_HOME,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_OUTPUT,
     EXIT_SCHEME,
+    HIDE_CURSOR,
+    SHOW_CURSOR,
     build_parser,
     cmd_decode,
     cmd_show,
     cmd_tick,
     main,
 )
+from lampclock.timesource import _READ_AHEAD
 
 
 SRC = Path(lampclock.__file__).resolve().parent.parent
@@ -123,6 +127,27 @@ class TestShow:
         out = TtyBuffer()
         assert cmd_show(parse("show", "--time", "04:49"), out=out) == EXIT_OK
         assert "\x1b[32m" in out.getvalue()
+
+    def test_tty_frame_is_drawn_once_not_in_place(self):
+        out = TtyBuffer()
+        assert cmd_show(parse("show", "--time", "04:49"), out=out) == EXIT_OK
+        text = out.getvalue()
+        for escape in (HIDE_CURSOR, CLEAR_AND_HOME, SHOW_CURSOR):
+            assert escape not in text
+        assert text.endswith("\n") and not text.endswith("\n\n")
+
+    def test_pinned_time_is_read_once(self, monkeypatch):
+        import lampclock.cli as cli_module
+
+        given = []
+
+        def recording_source(times):
+            given.append(list(itertools.islice(times, _READ_AHEAD + 1)))
+            return ScriptedTimeSource(given[-1])
+
+        monkeypatch.setattr(cli_module, "ScriptedTimeSource", recording_source)
+        assert cmd_show(bits_args("show", time="04:49"), out=io.StringIO()) == EXIT_OK
+        assert given == [[TimeOfDay.parse("04:49")]]
 
 
 class TestDecode:

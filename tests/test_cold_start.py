@@ -26,7 +26,7 @@ loaded = {"import": [m for m in watched if m in sys.modules]}
 for name, argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         args = cli.build_parser().parse_args(argv)
-        code = cli.cmd_tick(args, max_polls=1) if argv[0] == "tick" else cli.main(argv)
+        code = cli.cmd_tick(args, sys.stdout, max_polls=1) if argv[0] == "tick" else cli.main(argv)
     loaded[name] = [code] + [m for m in watched if m in sys.modules]
 print(repr(loaded))
 """

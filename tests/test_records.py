@@ -179,6 +179,11 @@ class TestConstructors:
         ({"lit_glyph": "ab"}, ValueError), ({"lit_glyph": ""}, ValueError),
         ({"unlit_glyph": " "}, ValueError), ({"unlit_glyph": "\n"}, ValueError),
         ({"am_color": "pink"}, RenderError), ({"pm_color": "#fff"}, RenderError),
+        # a type check, not coercion: an enum's value is not one of its members
+        ({"format": "bits"}, ValueError), ({"format": None}, ValueError),
+        ({"format": Layout.LEFT_ALIGNED}, ValueError),
+        ({"layout": "left"}, ValueError), ({"layout": None}, ValueError),
+        ({"layout": RenderFormat.SVG}, ValueError),
     ])
     def test_render_spec_rejects(self, kwargs, error):
         with pytest.raises(error):
