@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .codec import MAX_LAMPS_PER_ROW, RowScheme, RowSpec, derive_units, validate
+from .codec import RowScheme, RowSpec, derive_units, validate
 from .errors import InvalidSchemeError
 
 # A scheme has at most 64 rows (its capacity is below 2**64), far less than this in JSON.
@@ -85,20 +85,10 @@ def load_scheme(path: str | Path) -> RowScheme:
         raise InvalidSchemeError(f"scheme file {path} is missing key {exc}") from exc
     base_unit_minutes = data.get("base_unit_minutes", 1)
 
-    if not isinstance(name, str) or not name:
-        raise InvalidSchemeError(f"scheme file {path}: 'name' must be a non-empty string")
-    if not isinstance(row_entries, list) or not row_entries:
-        raise InvalidSchemeError(f"scheme file {path}: 'rows' must be a non-empty list")
-
-    lamp_counts = []
-    for i, entry in enumerate(row_entries):
-        lamps = entry.get("lamps") if isinstance(entry, dict) else None
-        if type(lamps) is not int or lamps > MAX_LAMPS_PER_ROW:  # type(): JSON true loads as bool
-            raise InvalidSchemeError(
-                f"scheme file {path}: rows[{i}] must be an object with integer 'lamps', "
-                f"at most {MAX_LAMPS_PER_ROW}"
-            )
-        lamp_counts.append(lamps)
+    if not isinstance(row_entries, list):
+        raise InvalidSchemeError(f"scheme file {path}: 'rows' must be a list")
+    # Name, lamp counts and bounds are checked as the scheme is built, as for a scheme in code
+    lamp_counts = [entry.get("lamps") if isinstance(entry, dict) else None for entry in row_entries]
 
     return make_scheme(name, lamp_counts, cycle_minutes, base_unit_minutes)
 

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 MINUTES_PER_DAY = 1440
 HALF_DAY = 720
 
-MAX_LAMPS_PER_ROW = 1440  # one-minute lamps enough for a day; bounds loading and drawing
+MAX_LAMPS_PER_ROW = 1440  # one-minute lamps enough for a day; RowSpec bounds every row by it
 MAX_CAPACITY = 2**64  # a scheme shows fewer states, so it has at most 64 rows and 64-bit units
 DEFAULT_SHAPE_LIMIT = 100_000
 MAX_SHAPE_LIMIT = 1_000_000  # larger enumeration limits are lowered to this, bounding memory
@@ -83,8 +83,9 @@ class RowSpec(_Record):
 
     def __init__(self, lamp_count: int, unit_value: int):
         # type() rather than isinstance(), here and in RowScheme: bool is an int subclass
-        if type(lamp_count) is not int or lamp_count < 1:
-            raise InvalidSchemeError(f"lamp count must be a positive integer, got {lamp_count!r}")
+        if type(lamp_count) is not int or not 1 <= lamp_count <= MAX_LAMPS_PER_ROW:
+            raise InvalidSchemeError(
+                f"lamp count must be a positive integer, at most {MAX_LAMPS_PER_ROW}, got {lamp_count!r}")
         if type(unit_value) is not int or unit_value < 1:
             raise InvalidSchemeError(f"unit value must be a positive integer, got {unit_value!r}")
         _set(self, "lamp_count", lamp_count)
@@ -94,17 +95,19 @@ class RowSpec(_Record):
 class RowScheme(_Record):
     """An ordered stack of lamp rows, top row first.
 
-    Construction only checks local well-formedness (non-empty, positive
-    fields). Cross-row rules such as the unit recurrence and the capacity
-    against ``cycle_minutes`` are checked by :func:`validate`, so that
-    broken schemes can be represented and reported on rather than being
-    unconstructable.
+    Construction only checks local well-formedness (a non-empty name,
+    non-empty rows, positive fields). Cross-row rules such as the unit
+    recurrence and the capacity against ``cycle_minutes`` are checked by
+    :func:`validate`, so that broken schemes can be represented and
+    reported on rather than being unconstructable.
     """
 
     __slots__ = ("name", "rows", "cycle_minutes", "base_unit_minutes")
 
     def __init__(self, name: str, rows: Iterable[RowSpec], cycle_minutes: int,
                  base_unit_minutes: int = 1):
+        if not isinstance(name, str) or not name:
+            raise InvalidSchemeError(f"scheme name must be a non-empty string, got {name!r}")
         rows = tuple(rows)
         if not rows:
             raise InvalidSchemeError(f"scheme {name!r} needs at least one row")
@@ -133,8 +136,8 @@ class TimeOfDay(_Record):
     __slots__ = ("minutes_since_midnight",)
 
     def __init__(self, minutes_since_midnight: int):
-        if not 0 <= minutes_since_midnight < MINUTES_PER_DAY:
-            raise ValueError(f"minutes_since_midnight out of range [0, 1440): {minutes_since_midnight}")
+        if type(minutes_since_midnight) is not int or not 0 <= minutes_since_midnight < MINUTES_PER_DAY:
+            raise ValueError(f"minutes_since_midnight not an integer in [0, 1440): {minutes_since_midnight!r}")
         _set(self, "minutes_since_midnight", minutes_since_midnight)
 
     @classmethod
@@ -186,6 +189,8 @@ class DisplayState(_Record):
         digits = tuple(digits)
         if min(digits, default=0) < 0:
             raise ValueError(f"digits must be non-negative: {digits}")
+        if meridiem is not None and not isinstance(meridiem, Meridiem):
+            raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
         _set(self, "digits", digits)
         _set(self, "meridiem", meridiem)
 

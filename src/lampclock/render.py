@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .codec import (MAX_LAMPS_PER_ROW, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
+from .codec import (MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
                     TimeOfDay, _check_meridiem, _check_state, _Record, _set, decode_minutes)
 from .errors import BitsParseError, MonotoneFillError, RenderError
 
@@ -98,16 +98,7 @@ def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     return _render_svg(state, scheme, spec)
 
 
-def _check_width(scheme: RowScheme) -> int:
-    """Refuse a row too wide to draw before drawing any of it; return the widest row's lamp count."""
-    widest = max(row.lamp_count for row in scheme.rows)
-    if widest > MAX_LAMPS_PER_ROW:
-        raise RenderError(f"a row of {widest} lamps is too wide to draw (at most {MAX_LAMPS_PER_ROW})")
-    return widest
-
-
 def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
-    _check_width(scheme)
     return "/".join([
         "1" * digit + "0" * (row.lamp_count - digit)
         for digit, row in zip(state.digits, scheme.rows)
@@ -147,7 +138,7 @@ def _rows(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
 
 
 def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
-    max_lamps = _check_width(scheme)
+    max_lamps = max(row.lamp_count for row in scheme.rows)
     blocks = spec.layout is Layout.BERLIN_BLOCKS
     left, right = ("[", "]") if blocks else ("", "")
     lit, unlit = f"{left}{spec.lit_glyph}{right}", f"{left}{spec.unlit_glyph}{right}"
@@ -171,7 +162,7 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
 
 def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     pitch = SVG_PITCH
-    max_lamps = _check_width(scheme)
+    max_lamps = max(row.lamp_count for row in scheme.rows)
     width = max_lamps * pitch
     height = len(scheme.rows) * pitch
 
@@ -185,8 +176,8 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str
             rest = f'" y="{y + 2}" width="{cell - 4:g}" height="{pitch - 4}" fill="'
             shapes += [f'  <rect x="{i * cell + 2:g}{rest}{fill}"/>' for i, fill in enumerate(fills)]
         else:
-            # An even pitch makes every centre a whole number, and _check_width keeps it at
-            # most 1440 * 40 < 10**6, where an int prints as :g would print it.
+            # An even pitch makes every centre a whole number, and RowSpec's bound on a row keeps
+            # it at most 1440 * 40 < 10**6, where an int prints as :g would print it.
             x0 = (max_lamps - lamps) * pitch // 2 if spec.layout is Layout.TRIANGLE_CENTERED else 0
             rest = f'" cy="{y + pitch / 2:g}" r="{pitch * 2 // 5}" fill="'
             shapes += [f'  <circle cx="{cx}{rest}{fill}"/>'

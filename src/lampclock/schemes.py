@@ -82,10 +82,8 @@ _RHO_BATCH = 64  # gcds are taken over products of this many differences
 
 
 def _check_target(target_states: int) -> None:
-    if target_states < 2:
-        raise ValueError(f"target_states must be at least 2, got {target_states}")
-    if target_states >= MAX_TARGET:
-        raise ValueError(f"target_states must be below 2**64, got {target_states}")
+    if type(target_states) is not int or not 2 <= target_states < MAX_TARGET:  # type(): not bool or float
+        raise ValueError(f"target_states must be an integer, at least 2 and below 2**64, got {target_states!r}")
 
 
 def _is_prime(n: int) -> bool:
@@ -187,13 +185,15 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
 
     Returns one shape per ordered factorization of ``target_states`` into
     factors >= 2, in lexicographic order of lamp counts, optionally
-    restricted to one geometry class. ``target_states`` must lie in
-    [2, 2**64), else :class:`ValueError`. The cap applies to the count of
-    all shapes before filtering: when :func:`count_shapes` exceeds
-    ``limit``, or ``MAX_SHAPE_LIMIT`` if that is smaller,
+    restricted to one geometry class. ``target_states`` must be an int in
+    [2, 2**64), ``shape_filter`` a ShapeClass or None, else :class:`ValueError`.
+    The cap applies to the count of all shapes before filtering: when
+    :func:`count_shapes` exceeds ``limit``, or ``MAX_SHAPE_LIMIT`` if smaller,
     :class:`EnumerationCapError` is raised before any shape is built.
     """
     _check_target(target_states)
+    if shape_filter is not None and not isinstance(shape_filter, ShapeClass):  # no coercion of "TRIANGULAR"
+        raise ValueError(f"ShapeClass or None expected, got {shape_filter!r}")
     factors = _factorize(target_states)
     limit = min(limit, MAX_SHAPE_LIMIT)
     if _shape_count(factors) > limit:
@@ -230,8 +230,8 @@ def is_triangular_feasible(target_states: int) -> int | None:
     """Row count n such that a triangle of 1..n lamps shows exactly
     ``target_states`` states, i.e. target_states == (n+1)!; None if no
     such n exists."""
-    if target_states < 2:
-        raise ValueError(f"target_states must be at least 2, got {target_states}")
+    if type(target_states) is not int or target_states < 2:  # no upper bound: (n+1)! for any n
+        raise ValueError(f"target_states must be an integer of at least 2, got {target_states!r}")
     if target_states & 1:  # every (n+1)! from 2! up is even
         return None
     fact, n = 2, 1  # (1+1)! with one row

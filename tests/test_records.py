@@ -133,6 +133,7 @@ def test_pickle_and_copy_round_trip(name):
 class TestConstructors:
     @pytest.mark.parametrize("lamps, unit", [
         (0, 1), (1, 0), (-1, 5), (1.5, 1), (2.0, 1), (True, 1), ("2", 1), (1, 1.0), (1, True),
+        (1441, 1), (10**9, 1),
     ])
     def test_row_spec_rejects(self, lamps, unit):
         with pytest.raises(InvalidSchemeError):
@@ -152,6 +153,13 @@ class TestConstructors:
         with pytest.raises(InvalidSchemeError, match="scheme 'x'"):
             make_scheme("x", lamps, cycle)
 
+    @pytest.mark.parametrize("name", [5, "", None, b"s", ["s"]], ids=repr)
+    def test_row_scheme_rejects_names(self, name):
+        with pytest.raises(InvalidSchemeError, match="name must be a non-empty string"):
+            RowScheme(name, (RowSpec(2, 1),), 3)
+        with pytest.raises(InvalidSchemeError, match="name must be a non-empty string"):
+            make_scheme(name, [1, 2, 3, 4, 5], 720)
+
     def test_row_scheme_rows_become_a_tuple(self):
         rows = [RowSpec(2, 1)]
         scheme = RowScheme("s", rows, 3)
@@ -159,7 +167,7 @@ class TestConstructors:
         assert RowScheme("s", iter(rows), 3) == scheme
         assert scheme.base_unit_minutes == 1
 
-    @pytest.mark.parametrize("minutes", [-1, 1440, 10**9])
+    @pytest.mark.parametrize("minutes", [-1, 1440, 10**9, 5.5, 289.0, True, False, "289", None], ids=repr)
     def test_time_of_day_rejects(self, minutes):
         with pytest.raises(ValueError):
             TimeOfDay(minutes)
@@ -170,6 +178,12 @@ class TestConstructors:
         assert DisplayState(d for d in (0, 2, 1)) == state
         assert state.meridiem is None
         assert DisplayState(()).digits == ()
+
+    # a type check, not coercion: "PM" is the value of a Meridiem, not one
+    @pytest.mark.parametrize("meridiem", ["PM", "AM", 1, True, Meridiem], ids=repr)
+    def test_display_state_rejects_meridiem(self, meridiem):
+        with pytest.raises(ValueError, match="Meridiem or None expected"):
+            DisplayState((0, 2, 1, 3, 1), meridiem)
 
     def test_display_state_rejects_negative_digits(self):
         with pytest.raises(ValueError):

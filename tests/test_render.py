@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 from itertools import product
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from lampclock import (
@@ -13,6 +13,7 @@ from lampclock import (
     TRIANGULAR,
     BitsParseError,
     DisplayState,
+    InvalidSchemeError,
     InvalidStateError,
     Layout,
     Meridiem,
@@ -30,6 +31,7 @@ from lampclock import (
     render,
 )
 from lampclock.codec import MAX_LAMPS_PER_ROW
+from lampclock.render import default_layout
 from strategies import scheme_and_time
 
 ANSI_ESCAPES = re.compile(r"\x1b\[[0-9;]*m")
@@ -338,26 +340,39 @@ class TestExactBytes:
 
 
 class TestRowWidthBound:
-    # JSON carries digits, not lamps, so it still renders an overlong row
-    DRAWN = [RenderFormat.ANSI, RenderFormat.SVG, RenderFormat.BITS]
-
-    @pytest.mark.parametrize("fmt", DRAWN, ids=lambda f: f.value)
+    # RowSpec bounds every row, so no renderer, JSON included, is handed an overlong one
+    @pytest.mark.parametrize("fmt", list(RenderFormat), ids=lambda f: f.value)
     @pytest.mark.parametrize("lamps", [MAX_LAMPS_PER_ROW + 1, 10**6, 10**7])
     def test_overlong_row_fails_before_drawing(self, fmt, lamps):
-        scheme = make_scheme("wide", [2, lamps], 1440)
-        state = DisplayState((1, lamps))
         start = time.perf_counter()
-        with pytest.raises(RenderError, match="too wide"):
-            render(state, scheme, RenderSpec(format=fmt))
+        with pytest.raises(InvalidSchemeError, match="at most 1440"):
+            render(DisplayState((1, lamps)), make_scheme("wide", [2, lamps], 1440), RenderSpec(format=fmt))
         assert time.perf_counter() - start < 1.0
-        assert json.loads(render(state, scheme, RenderSpec(format=RenderFormat.JSON)))["time"] is None
 
-    @pytest.mark.parametrize("fmt", DRAWN, ids=lambda f: f.value)
+    @pytest.mark.parametrize("fmt", list(RenderFormat), ids=lambda f: f.value)
     def test_longest_row_is_drawn(self, fmt):
         scheme = make_scheme("wide", [MAX_LAMPS_PER_ROW], 1440)
         state = encode(TimeOfDay(1439), scheme)
         spec = RenderSpec(format=fmt, use_color=False)
         assert lit_counts_per_row(render(state, scheme, spec), fmt, scheme, spec) == [1439]
+
+
+# Lamp counts the row bound and the int rule must sort out, among ordinary ones
+ODD_LAMPS = [0, MAX_LAMPS_PER_ROW, MAX_LAMPS_PER_ROW + 1, 10**9, True, None, "3", 2.0]
+
+
+@given(st.lists(st.one_of(st.integers(1, 12), st.sampled_from(ODD_LAMPS)), min_size=1, max_size=4),
+       st.sampled_from([2, 720, 1440]))
+@example([2, 2000], 1440)
+@settings(deadline=None)  # four rows of 1440 lamps take milliseconds, more on a loaded machine
+def test_make_scheme_builds_only_drawable_schemes(lamps, cycle):
+    try:
+        scheme = make_scheme("w", lamps, cycle)
+    except InvalidSchemeError:
+        return
+    state = encode(TimeOfDay(cycle - 1), scheme)
+    for fmt in RenderFormat:
+        assert render(state, scheme, RenderSpec(format=fmt, layout=default_layout(scheme)))
 
 
 def lit_counts_per_row(rendered, fmt, scheme, spec):

@@ -70,6 +70,20 @@ class TestEnumerateShapes:
         with pytest.raises(ValueError):
             count_shapes(bad)
 
+    # type(x) is int: a float, a bool or a string is a ValueError, not a TypeError or a count
+    @pytest.mark.parametrize("bad", [720.0, 2.5, True, "720", None], ids=repr)
+    def test_target_must_be_an_int(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            enumerate_shapes(bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_shapes(bad)
+
+    # a type check, not coercion: "TRIANGULAR" is the value of a ShapeClass, not one
+    @pytest.mark.parametrize("bad", ["TRIANGULAR", "IRREGULAR", 0, True, ShapeClass], ids=repr)
+    def test_filter_must_be_a_shape_class(self, bad):
+        with pytest.raises(ValueError, match="ShapeClass or None expected"):
+            enumerate_shapes(720, bad)
+
     def test_leaves_no_reference_cycles(self):
         # a capped call must not keep its work alive until a full collection
         gc.collect()
@@ -252,6 +266,14 @@ class TestTriangularFeasibility:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             is_triangular_feasible(1)
+
+    @pytest.mark.parametrize("bad", [720.0, 2.5, True, "720", None], ids=repr)
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            is_triangular_feasible(bad)
+
+    def test_has_no_upper_bound(self):
+        assert is_triangular_feasible(math.factorial(21)) == 20  # past 2**64
 
 
 class TestShapeToScheme:
