@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterable
 
 from .codec import RowScheme, RowSpec, derive_units, validate
 from .errors import InvalidSchemeError
@@ -25,11 +26,12 @@ MAX_SCHEME_FILE_BYTES = 64 * 1024
 
 def make_scheme(
     name: str,
-    lamp_counts: list[int] | tuple[int, ...],
+    lamp_counts: Iterable[int],
     cycle_minutes: int,
     base_unit_minutes: int = 1,
 ) -> RowScheme:
     """Build a scheme from lamp counts, deriving units, and validate it."""
+    lamp_counts = tuple(lamp_counts)  # read once: an iterator would be used up by derive_units
     try:
         units = derive_units(lamp_counts)
         rows = tuple(RowSpec(lamps, unit) for lamps, unit in zip(lamp_counts, units))
@@ -72,7 +74,7 @@ def load_scheme(path: str | Path) -> RowScheme:
         raise InvalidSchemeError(f"scheme file {path} is larger than {MAX_SCHEME_FILE_BYTES} bytes")
     try:
         data = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a number too long for int
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too long an int, too deep a nesting
         raise InvalidSchemeError(f"scheme file {path} is not valid JSON: {exc}") from exc
 
     if not isinstance(data, dict):

@@ -75,8 +75,8 @@ class Meridiem(Enum):
 class RowSpec(_Record):
     """One row of lamps: how many there are and what each is worth.
 
-    ``unit_value`` is expressed in the scheme's base units, so the bottom
-    row of a well-formed scheme always has ``unit_value == 1``.
+    ``unit_value`` is expressed in the scheme's base units; in a
+    :class:`RowScheme` the bottom row always has ``unit_value == 1``.
     """
 
     __slots__ = ("lamp_count", "unit_value")
@@ -95,11 +95,12 @@ class RowSpec(_Record):
 class RowScheme(_Record):
     """An ordered stack of lamp rows, top row first.
 
-    Construction only checks local well-formedness (a non-empty name,
-    non-empty rows, positive fields). Cross-row rules such as the unit
-    recurrence and the capacity against ``cycle_minutes`` are checked by
-    :func:`validate`, so that broken schemes can be represented and
-    reported on rather than being unconstructable.
+    Construction checks the fields (a non-empty name, non-empty rows,
+    positive cycle and base unit), then that the rows' unit values are the
+    ones :func:`derive_units` gives their lamp counts, which also bounds
+    the capacity below ``MAX_CAPACITY``. Whether the capacity covers
+    ``cycle_minutes`` is left to :func:`validate`, so that a scheme short
+    of its cycle can be represented and reported on.
     """
 
     __slots__ = ("name", "rows", "cycle_minutes", "base_unit_minutes")
@@ -115,6 +116,14 @@ class RowScheme(_Record):
             raise InvalidSchemeError(f"scheme {name!r}: cycle_minutes must be a positive integer")
         if type(base_unit_minutes) is not int or base_unit_minutes < 1:
             raise InvalidSchemeError(f"scheme {name!r}: base_unit_minutes must be a positive integer")
+        try:
+            units = derive_units([row.lamp_count for row in rows])
+        except InvalidSchemeError as exc:
+            raise InvalidSchemeError(f"scheme {name!r}: {exc}") from exc
+        if [row.unit_value for row in rows] != units:
+            raise InvalidSchemeError(
+                f"scheme {name!r}: unit values {[row.unit_value for row in rows]} break the unit "
+                f"recurrence; lamp counts {[row.lamp_count for row in rows]} give {units}")
         _set(self, "name", name)
         _set(self, "rows", rows)
         _set(self, "cycle_minutes", cycle_minutes)
@@ -309,7 +318,7 @@ class Violation(_Record):
     __slots__ = ("kind", "row", "message")
 
     def __init__(self, kind: str, row: int | None, message: str):
-        _set(self, "kind", kind)  # "recurrence" | "bottom-unit" | "capacity"
+        _set(self, "kind", kind)  # "capacity": RowScheme enforces every other rule
         _set(self, "row", row)
         _set(self, "message", message)
 
@@ -331,50 +340,15 @@ class ValidationReport(_Record):
 
 
 def validate(scheme: RowScheme) -> ValidationReport:
-    """Check the cross-row rules of a scheme and report every breach.
+    """Report whether the scheme's capacity covers its cycle.
 
-    Violations are data, not exceptions: callers that need a hard failure
-    (catalog loading, scheme construction helpers) raise on a non-ok
-    report themselves.
+    That is the one rule a built scheme can break: :class:`RowScheme`
+    enforces the unit recurrence. Violations are data, not exceptions:
+    callers that need a hard failure (catalog loading, scheme construction
+    helpers) raise on a non-ok report themselves.
     """
-    violations = []
-    rows = scheme.rows
-
-    for k in range(1, len(rows)):
-        expected = (rows[k].lamp_count + 1) * rows[k].unit_value
-        if rows[k - 1].unit_value != expected:
-            violations.append(
-                Violation(
-                    kind="recurrence",
-                    row=k,
-                    message=(
-                        f"recurrence violation at pair ({k - 1},{k}): row {k} unit is "
-                        f"{rows[k - 1].unit_value}, expected ({rows[k].lamp_count}+1) x "
-                        f"{rows[k].unit_value} = {expected}"
-                    ),
-                )
-            )
-
-    if rows[-1].unit_value != 1:
-        violations.append(
-            Violation(
-                kind="bottom-unit",
-                row=len(rows),
-                message=f"bottom row unit must be 1 base unit, got {rows[-1].unit_value}",
-            )
-        )
-
     cap_minutes = capacity(scheme) * scheme.base_unit_minutes
-    if cap_minutes < scheme.cycle_minutes:
-        violations.append(
-            Violation(
-                kind="capacity",
-                row=None,
-                message=(
-                    f"capacity shortfall: scheme covers {cap_minutes} minutes "
-                    f"but the cycle is {scheme.cycle_minutes}"
-                ),
-            )
-        )
-
-    return ValidationReport(tuple(violations))
+    if cap_minutes >= scheme.cycle_minutes:
+        return ValidationReport(())
+    message = f"capacity shortfall: scheme covers {cap_minutes} minutes but the cycle is {scheme.cycle_minutes}"
+    return ValidationReport((Violation("capacity", None, message),))

@@ -176,10 +176,8 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str
             rest = f'" y="{y + 2}" width="{cell - 4:g}" height="{pitch - 4}" fill="'
             shapes += [f'  <rect x="{i * cell + 2:g}{rest}{fill}"/>' for i, fill in enumerate(fills)]
         else:
-            # An even pitch makes every centre a whole number, and RowSpec's bound on a row keeps
-            # it at most 1440 * 40 < 10**6, where an int prints as :g would print it.
             x0 = (max_lamps - lamps) * pitch // 2 if spec.layout is Layout.TRIANGLE_CENTERED else 0
-            rest = f'" cy="{y + pitch / 2:g}" r="{pitch * 2 // 5}" fill="'
+            rest = f'" cy="{y + pitch // 2}" r="{pitch * 2 // 5}" fill="'
             shapes += [f'  <circle cx="{cx}{rest}{fill}"/>'
                        for cx, fill in zip(range(x0 + pitch // 2, x0 + lamps * pitch, pitch), fills)]
 

@@ -186,7 +186,8 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
     Returns one shape per ordered factorization of ``target_states`` into
     factors >= 2, in lexicographic order of lamp counts, optionally
     restricted to one geometry class. ``target_states`` must be an int in
-    [2, 2**64), ``shape_filter`` a ShapeClass or None, else :class:`ValueError`.
+    [2, 2**64), ``shape_filter`` a ShapeClass or None and ``limit`` an int of
+    at least 1, else :class:`ValueError`.
     The cap applies to the count of all shapes before filtering: when
     :func:`count_shapes` exceeds ``limit``, or ``MAX_SHAPE_LIMIT`` if smaller,
     :class:`EnumerationCapError` is raised before any shape is built.
@@ -194,6 +195,8 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
     _check_target(target_states)
     if shape_filter is not None and not isinstance(shape_filter, ShapeClass):  # no coercion of "TRIANGULAR"
         raise ValueError(f"ShapeClass or None expected, got {shape_filter!r}")
+    if type(limit) is not int or limit < 1:  # type(): not bool or float
+        raise ValueError(f"limit must be an integer, at least 1, got {limit!r}")
     factors = _factorize(target_states)
     limit = min(limit, MAX_SHAPE_LIMIT)
     if _shape_count(factors) > limit:

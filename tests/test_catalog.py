@@ -9,6 +9,7 @@ from lampclock import (
     TRIANGULAR,
     InvalidSchemeError,
     load_scheme,
+    make_scheme,
     resolve_scheme,
     validate,
 )
@@ -32,6 +33,10 @@ def test_builtin_units():
     assert [r.unit_value for r in BERLIN.rows] == [300, 60, 5, 1]
     assert TRIANGULAR.cycle_minutes == 720
     assert BERLIN.cycle_minutes == 1440
+
+
+def test_make_scheme_reads_an_iterator_once():
+    assert make_scheme("triangular", (lamps for lamps in range(1, 6)), 720) == TRIANGULAR
 
 
 def test_load_scheme_derives_units(tmp_path):

@@ -277,6 +277,12 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_SCHEME
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_deep_nesting_is_a_scheme_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 30_000 + "]" * 30_000)  # 60 KB, under the size cap
+        assert main(["validate", str(path)]) == EXIT_SCHEME
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_more_rows_than_64_bits_of_states(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text(json.dumps({"name": "deep", "cycle_minutes": 720, "rows": [{"lamps": 1}] * 64}))

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from lampclock import (
     BERLIN,
@@ -244,17 +245,18 @@ class TestValidate:
         assert validate(BERLIN).ok
         assert str(validate(BERLIN)) == "ok"
 
-    def test_recurrence_breaches_all_reported(self):
+    def test_recurrence_breach_rejected_at_construction(self):
         rows = tuple(
             RowSpec(lamps, unit)
             for lamps, unit in zip([1, 2, 3, 4, 5], [360, 100, 30, 6, 1])
         )
-        report = validate(RowScheme("broken", rows, cycle_minutes=720))
-        assert not report.ok
-        recurrence = [v for v in report.violations if v.kind == "recurrence"]
-        # 360 != (2+1)*100 and 100 != (3+1)*30: both pairs named
-        assert {v.row for v in recurrence} == {1, 2}
-        assert any("pair (1,2)" in v.message for v in recurrence)
+        # 360 != (2+1)*100 and 100 != (3+1)*30: the message gives the derived units
+        with pytest.raises(InvalidSchemeError,
+                           match=r"^scheme 'broken': .* give \[360, 120, 30, 6, 1\]$"):
+            RowScheme("broken", rows, cycle_minutes=720)
+        # a 2-lamp bottom row under a unit of 5 would encode 3 lit lamps on it
+        with pytest.raises(InvalidSchemeError, match="scheme 'b'"):
+            RowScheme("b", (RowSpec(1, 5), RowSpec(2, 1)), 6)
 
     def test_capacity_shortfall(self):
         scheme = RowScheme(
@@ -264,10 +266,21 @@ class TestValidate:
         assert [v.kind for v in report.violations] == ["capacity"]
         assert "720" in report.violations[0].message
 
-    def test_non_unit_bottom_row(self):
-        scheme = RowScheme("scaled", (RowSpec(1, 6), RowSpec(2, 2)), cycle_minutes=6)
-        kinds = {v.kind for v in validate(scheme).violations}
-        assert "bottom-unit" in kinds
+    def test_non_unit_bottom_row_rejected_at_construction(self):
+        with pytest.raises(InvalidSchemeError, match=r"^scheme 'scaled': .* give \[3, 1\]$"):
+            RowScheme("scaled", (RowSpec(1, 6), RowSpec(2, 2)), cycle_minutes=6)
+
+    @given(lamp_count_lists, st.integers(min_value=1, max_value=1440), st.data())
+    def test_construction_owns_the_recurrence(self, counts, cycle, data):
+        rows = [RowSpec(lamps, unit) for lamps, unit in zip(counts, derive_units(counts))]
+        scheme = RowScheme("s", rows, cycle)
+        short = capacity(scheme) < cycle
+        assert [v.kind for v in validate(scheme).violations] == ["capacity"] * short
+        k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        unit = data.draw(st.integers(min_value=1).filter(lambda u: u != rows[k].unit_value))
+        rows[k] = RowSpec(rows[k].lamp_count, unit)
+        with pytest.raises(InvalidSchemeError, match="^scheme 's': "):
+            RowScheme("s", rows, cycle)
 
     def test_surplus_capacity_is_legal(self):
         assert capacity(BERLIN) == 1500 > BERLIN.cycle_minutes

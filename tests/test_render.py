@@ -305,16 +305,20 @@ class TestExactBytes:
             + "\n".join(top + bottom + [last]) + "\n</svg>\n"
         )
 
-    def test_cy_past_a_million_keeps_its_g_format(self):
-        rows = 25_001
-        scheme = RowScheme("tall", tuple(RowSpec(1, 1) for _ in range(rows)), 1440)
+    def test_tallest_scheme_has_whole_centres(self):
+        # a cy past a million would need 25,001 rows; such a scheme fails at once as it is built
+        start = time.perf_counter()
+        with pytest.raises(InvalidSchemeError, match=r"^scheme 'tall': capacity must be below 2\*\*64"):
+            RowScheme("tall", tuple(RowSpec(1, 1) for _ in range(25_001)), 1440)
+        assert time.perf_counter() - start < 1
+        rows = 63  # 2**63 states: one row more reaches 2**64
+        scheme = make_scheme("tall", [1] * rows, 1440)
         svg = render(DisplayState((1,) * rows), scheme, RenderSpec(format=RenderFormat.SVG))
         lines = svg.splitlines()
-        assert lines[1] == ('<svg xmlns="http://www.w3.org/2000/svg" width="40" height="1000040" '
-                            'viewBox="0 0 40 1000040">')
+        assert lines[1] == ('<svg xmlns="http://www.w3.org/2000/svg" width="40" height="2520" '
+                            'viewBox="0 0 40 2520">')
         assert lines[2] == '  <circle cx="20" cy="20" r="16" fill="yellow"/>'
-        assert lines[-3] == '  <circle cx="20" cy="999980" r="16" fill="yellow"/>'
-        assert lines[-2] == '  <circle cx="20" cy="1.00002e+06" r="16" fill="yellow"/>'
+        assert lines[-2] == '  <circle cx="20" cy="2500" r="16" fill="yellow"/>'
         assert lines[-1] == "</svg>"
         assert len(lines) == rows + 3
 

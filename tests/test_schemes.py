@@ -84,6 +84,12 @@ class TestEnumerateShapes:
         with pytest.raises(ValueError, match="ShapeClass or None expected"):
             enumerate_shapes(720, bad)
 
+    # one type(limit) is int test: None, a string, a bool or a float is a ValueError, not a cap
+    @pytest.mark.parametrize("bad", [None, "10", True, 0, -1, 2.5], ids=repr)
+    def test_limit_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            enumerate_shapes(720, limit=bad)
+
     def test_leaves_no_reference_cycles(self):
         # a capped call must not keep its work alive until a full collection
         gc.collect()
