@@ -90,11 +90,11 @@ def run_tick(
             if t is None:
                 break
             if t.minutes_since_midnight != last_minute:
-                frame = render(encode(t, scheme), scheme, spec)
+                frame = render(encode(t, scheme), scheme, spec) + "\n"
                 last_minute = t.minutes_since_midnight
             if redraw_in_place:
                 out.write(CLEAR_AND_HOME)
-            out.write(frame + "\n")
+            out.write(frame)
             out.flush()
             polls += 1
             if max_polls is None or polls < max_polls:

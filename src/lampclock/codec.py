@@ -116,6 +116,9 @@ class RowScheme(_Record):
             raise InvalidSchemeError(f"scheme {name!r}: cycle_minutes must be a positive integer")
         if type(base_unit_minutes) is not int or base_unit_minutes < 1:
             raise InvalidSchemeError(f"scheme {name!r}: base_unit_minutes must be a positive integer")
+        for row in rows:
+            if type(row) is not RowSpec:
+                raise InvalidSchemeError(f"scheme {name!r}: every row must be a RowSpec, got {row!r}")
         try:
             units = derive_units([row.lamp_count for row in rows])
         except InvalidSchemeError as exc:
@@ -147,7 +150,7 @@ class TimeOfDay(_Record):
     def __init__(self, minutes_since_midnight: int):
         if type(minutes_since_midnight) is not int or not 0 <= minutes_since_midnight < MINUTES_PER_DAY:
             raise ValueError(f"minutes_since_midnight not an integer in [0, 1440): {minutes_since_midnight!r}")
-        _set(self, "minutes_since_midnight", minutes_since_midnight)
+        _set_minutes(self, minutes_since_midnight)
 
     @classmethod
     def from_hm(cls, hour: int, minute: int) -> "TimeOfDay":
@@ -196,12 +199,20 @@ class DisplayState(_Record):
 
     def __init__(self, digits: Iterable[int], meridiem: Meridiem | None = None):
         digits = tuple(digits)
-        if min(digits, default=0) < 0:
-            raise ValueError(f"digits must be non-negative: {digits}")
+        for digit in digits:
+            if type(digit) is not int or digit < 0:  # type(): a bool or float digit is no lamp count
+                raise ValueError(f"digits must be non-negative integers: {digits}")
         if meridiem is not None and not isinstance(meridiem, Meridiem):
             raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
-        _set(self, "digits", digits)
-        _set(self, "meridiem", meridiem)
+        _set_digits(self, digits)
+        _set_meridiem(self, meridiem)
+
+
+# Module names for the hot paths: the slots' own setters, which cost less than object.__setattr__
+# (as in schemes.SchemeShape), and the meridiems, which cost ~100 ns a read through the enum class
+_set_minutes = TimeOfDay.minutes_since_midnight.__set__
+_set_digits, _set_meridiem = (getattr(DisplayState, name).__set__ for name in DisplayState.__slots__)
+_AM, _PM = Meridiem.AM, Meridiem.PM
 
 
 def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
@@ -248,7 +259,7 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
     minutes = time.minutes_since_midnight
     meridiem: Meridiem | None = None
     if scheme.has_meridiem:
-        meridiem = Meridiem.AM if minutes < HALF_DAY else Meridiem.PM
+        meridiem = _AM if minutes < HALF_DAY else _PM
         minutes %= HALF_DAY
     elif minutes >= scheme.cycle_minutes:
         raise ValueError(
@@ -271,22 +282,17 @@ def decode_minutes(state: DisplayState, scheme: RowScheme) -> int:
     layout can show up to 1499) still decode to their numeric value.
     """
     _check_state(state, scheme)
-    total = sum(
-        digit * row.unit_value * scheme.base_unit_minutes
-        for digit, row in zip(state.digits, scheme.rows)
-    )
-    if state.meridiem is Meridiem.PM:
-        total += HALF_DAY
-    return total
+    units = 0
+    for digit, row in zip(state.digits, scheme.rows):
+        units += digit * row.unit_value
+    return units * scheme.base_unit_minutes + (HALF_DAY if state.meridiem is _PM else 0)
 
 
 def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
     """Sum the lit lamps back into a time of day."""
     total = decode_minutes(state, scheme)
     if total >= MINUTES_PER_DAY:
-        raise InvalidStateError(
-            f"state decodes to {total} minutes, past the end of the day"
-        )
+        raise InvalidStateError(f"state decodes to {total} minutes, past the end of the day")
     return TimeOfDay(total)
 
 
@@ -297,18 +303,14 @@ def _check_state(state: DisplayState, scheme: RowScheme) -> None:
         )
     for i, (digit, row) in enumerate(zip(state.digits, scheme.rows)):
         if digit > row.lamp_count:
-            raise InvalidStateError(
-                f"row {i + 1} shows {digit} lit lamps but only has {row.lamp_count}"
-            )
+            raise InvalidStateError(f"row {i + 1} shows {digit} lit lamps but only has {row.lamp_count}")
     _check_meridiem(scheme, state.meridiem)
 
 
 def _check_meridiem(scheme: RowScheme, meridiem: Meridiem | None) -> None:
-    if scheme.has_meridiem and meridiem is None:
-        raise InvalidStateError(
-            f"scheme {scheme.name!r} is a 12-hour face; an AM/PM flag is required"
-        )
-    if not scheme.has_meridiem and meridiem is not None:
+    if scheme.has_meridiem == (meridiem is None):  # a flag missing, or one too many
+        if meridiem is None:
+            raise InvalidStateError(f"scheme {scheme.name!r} is a 12-hour face; an AM/PM flag is required")
         raise InvalidStateError(f"scheme {scheme.name!r} does not use an AM/PM flag")
 
 

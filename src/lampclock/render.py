@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .codec import (MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
+from .codec import (_AM, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
                     TimeOfDay, _check_meridiem, _check_state, _Record, _set, decode_minutes)
 from .errors import BitsParseError, MonotoneFillError, RenderError
 
@@ -126,7 +126,8 @@ def _rows(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
     Every lit lamp takes the meridiem's color. With no meridiem, lit lamps
     are yellow, except that every third lamp of an 11-lamp row is red.
     """
-    meridiem_color = {Meridiem.AM: spec.am_color, Meridiem.PM: spec.pm_color}.get(state.meridiem)
+    meridiem = state.meridiem
+    meridiem_color = None if meridiem is None else spec.am_color if meridiem is _AM else spec.pm_color
     for digit, row in zip(state.digits, scheme.rows):
         if meridiem_color:
             colors = [meridiem_color] * digit
@@ -198,23 +199,19 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
     """
     rows = text.split("/")
     if len(rows) != len(scheme.rows):
-        raise BitsParseError(
-            f"expected {len(scheme.rows)} rows separated by '/', got {len(rows)}"
-        )
+        raise BitsParseError(f"expected {len(scheme.rows)} rows separated by '/', got {len(rows)}")
 
     digits = []
     for k, (bits, row) in enumerate(zip(rows, scheme.rows), start=1):
-        if len(bits) != row.lamp_count:
-            raise BitsParseError(
-                f"row {k} must have {row.lamp_count} bits, got {len(bits)}"
-            )
-        if set(bits) - {"0", "1"}:
-            raise BitsParseError(f"row {k} contains characters other than 0/1: {bits!r}")
+        n = row.lamp_count
+        if len(bits) != n:
+            raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
         ones = bits.count("1")
-        if bits != "1" * ones + "0" * (row.lamp_count - ones):
+        if bits != "1" * ones + "0" * (n - ones):  # one test on the happy path for both rules below
+            if bits.strip("01"):
+                raise BitsParseError(f"row {k} contains characters other than 0/1: {bits!r}")
             raise MonotoneFillError(
-                k, f"row {k} is not left-filled: {bits!r} has a lit lamp right of an unlit one"
-            )
+                k, f"row {k} is not left-filled: {bits!r} has a lit lamp right of an unlit one")
         digits.append(ones)
 
     _check_meridiem(scheme, meridiem)

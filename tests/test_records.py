@@ -143,6 +143,7 @@ class TestConstructors:
         ((), 1, 1), ((RowSpec(1, 1),), 0, 1), ((RowSpec(1, 1),), 2, 0),
         ((RowSpec(1, 1),), 6.0, 1), ((RowSpec(1, 1),), True, 1), ((RowSpec(1, 1),), "2", 1),
         ((RowSpec(1, 1),), 2, 1.0), ((RowSpec(1, 1),), 2, True),
+        ((1,), 2, 1), ((RowSpec(1, 1), (1, 1)), 2, 1),  # rows that are not RowSpecs
     ])
     def test_row_scheme_rejects(self, rows, cycle, base):
         with pytest.raises(InvalidSchemeError, match="scheme 's'"):
@@ -188,6 +189,12 @@ class TestConstructors:
     def test_display_state_rejects_negative_digits(self):
         with pytest.raises(ValueError):
             DisplayState([1, -1])
+
+    # a type check, not coercion: True would decode as one lamp, and 0.5 lamps cannot be drawn
+    @pytest.mark.parametrize("digit", [True, False, 0.5, 1.0, "1", None], ids=repr)
+    def test_display_state_rejects_non_int_digits(self, digit):
+        with pytest.raises(ValueError, match="digits must be non-negative integers"):
+            DisplayState((digit, 0, 0, 0, 0), Meridiem.AM)
 
     @pytest.mark.parametrize("kwargs, error", [
         ({"lit_glyph": "ab"}, ValueError), ({"lit_glyph": ""}, ValueError),

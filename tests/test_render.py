@@ -32,7 +32,7 @@ from lampclock import (
 )
 from lampclock.codec import MAX_LAMPS_PER_ROW
 from lampclock.render import default_layout
-from strategies import scheme_and_time
+from strategies import scheme_and_time, valid_schemes
 
 ANSI_ESCAPES = re.compile(r"\x1b\[[0-9;]*m")
 
@@ -101,6 +101,24 @@ class TestParseBits:
     def test_meridiem_rejected_for_full_day_scheme(self):
         with pytest.raises(InvalidStateError):
             parse_bits("0000/0000/00000000000/0000", BERLIN, Meridiem.AM)
+
+
+@given(valid_schemes(), st.data())
+def test_each_row_reports_its_first_broken_rule(scheme, data):
+    # width comes first, then characters; without its own width test, a row of n + 1 ones
+    # would pass for n lamps, as "1" * (n + 1) + "0" * -1 is its canonical form
+    meridiem = Meridiem.AM if scheme.has_meridiem else None
+    digits = [data.draw(st.integers(0, n)) for n in scheme.lamp_counts]
+    rows = ["1" * d + "0" * (n - d) for d, n in zip(digits, scheme.lamp_counts)]
+    assert parse_bits("/".join(rows), scheme, meridiem).digits == tuple(digits)
+    for k, (row, n) in enumerate(zip(rows, scheme.lamp_counts), start=1):
+        def parse_with(bad):
+            return parse_bits("/".join(rows[:k - 1] + [bad] + rows[k:]), scheme, meridiem)
+        for bad in (row + "1", row + "0", "1" * (n + 1), row[:-1], row + "2"):
+            with pytest.raises(BitsParseError, match=f"^row {k} must have {n} bits, got {len(bad)}$"):
+                parse_with(bad)
+        with pytest.raises(BitsParseError, match=f"^row {k} contains characters other than 0/1"):
+            parse_with("2" + row[1:])
 
 
 @pytest.mark.parametrize("scheme", [TRIANGULAR, BERLIN], ids=lambda s: s.name)
