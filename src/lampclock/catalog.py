@@ -14,7 +14,6 @@ rejected at load time.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Iterable
 
 from .codec import RowScheme, RowSpec, derive_units, validate
@@ -56,12 +55,12 @@ BUILTIN_SCHEMES: dict[str, RowScheme] = {
 }
 
 
-def load_scheme(path: str | Path) -> RowScheme:
+def load_scheme(path: str | os.PathLike[str]) -> RowScheme:
     """Load and validate a scheme definition file of at most
     ``MAX_SCHEME_FILE_BYTES`` bytes."""
     import json  # here, so that built-in schemes start without it
 
-    path = Path(path)
+    path = os.fspath(path)
     try:
         # O_NONBLOCK: a FIFO with no writer opens at once and then reads as empty, where a
         # blocking open would wait for a writer. Reads block again, so a pipe's data arrives.

@@ -55,7 +55,7 @@ def _setup(args: argparse.Namespace, out: TextIO, source: TimeSource | None,
         source = SystemTimeSource()
     layout = Layout(args.layout) if args.layout else default_layout(scheme)
     if args.color == "auto":
-        use_color = "NO_COLOR" not in os.environ and out.isatty()
+        use_color = not os.environ.get("NO_COLOR") and out.isatty()
     else:
         use_color = args.color == "always"
     return scheme, RenderSpec(format=RenderFormat(args.format), layout=layout, use_color=use_color), source

@@ -16,14 +16,10 @@ the full day on the lamps alone.
 from __future__ import annotations
 
 from enum import Enum
-from math import prod
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import InvalidSchemeError, InvalidStateError
-
-if TYPE_CHECKING:
-    from datetime import datetime
 
 MINUTES_PER_DAY = 1440
 HALF_DAY = 720
@@ -153,14 +149,6 @@ class TimeOfDay(_Record):
         _set_minutes(self, minutes_since_midnight)
 
     @classmethod
-    def from_hm(cls, hour: int, minute: int) -> "TimeOfDay":
-        if not 0 <= hour < 24:
-            raise ValueError(f"hour out of range [0, 24): {hour}")
-        if not 0 <= minute < 60:
-            raise ValueError(f"minute out of range [0, 60): {minute}")
-        return cls(hour * 60 + minute)
-
-    @classmethod
     def parse(cls, text: str) -> "TimeOfDay":
         """Parse ``HH:MM`` or ``HH:MM:SS`` in ASCII digits; seconds, which
         must lie in 0..59, are truncated."""
@@ -169,11 +157,12 @@ class TimeOfDay(_Record):
             raise ValueError(f"not a valid HH:MM time: {text!r}")
         if len(parts) == 3 and int(parts[2]) >= 60:
             raise ValueError(f"second out of range [0, 60): {parts[2]}")
-        return cls.from_hm(int(parts[0]), int(parts[1]))
-
-    @classmethod
-    def from_datetime(cls, dt: datetime) -> "TimeOfDay":
-        return cls(dt.hour * 60 + dt.minute)
+        hour, minute = int(parts[0]), int(parts[1])  # digits only, so never negative
+        if hour >= 24:
+            raise ValueError(f"hour out of range [0, 24): {hour}")
+        if minute >= 60:
+            raise ValueError(f"minute out of range [0, 60): {minute}")
+        return cls(hour * 60 + minute)
 
     @property
     def hour(self) -> int:
@@ -244,7 +233,8 @@ def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
 
 def capacity(scheme: RowScheme) -> int:
     """Number of distinct states the scheme can display."""
-    return prod(row.lamp_count + 1 for row in scheme.rows)
+    top = scheme.rows[0]  # RowScheme holds the unit recurrence, so the top row's unit is the rest's product
+    return top.unit_value * (top.lamp_count + 1)
 
 
 def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
@@ -254,7 +244,8 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
     state carries an AM/PM flag; a 1440-minute scheme shows the full day
     value with no flag. Any remainder finer than the base unit is
     truncated, so the display shows the latest representable time not
-    after ``time``.
+    after ``time``. A time past the capacity of a scheme short of its
+    cycle raises ``ValueError``, as does one outside a 1440-minute cycle.
     """
     minutes = time.minutes_since_midnight
     meridiem: Meridiem | None = None
@@ -271,6 +262,8 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
     for row in scheme.rows:
         digit, remainder = divmod(remainder, row.unit_value)
         digits.append(digit)
+    if digits[0] > scheme.rows[0].lamp_count:  # only the top row can overflow
+        raise ValueError(f"time {time} is past the capacity of scheme {scheme.name!r}")
     return DisplayState(tuple(digits), meridiem)
 
 

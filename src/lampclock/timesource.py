@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import islice
+from time import localtime
 from typing import Iterable, Protocol
 
 from .codec import TimeOfDay
@@ -24,9 +25,8 @@ class SystemTimeSource:
     """Local wall-clock time, truncated to the minute."""
 
     def now(self) -> TimeOfDay | None:
-        from datetime import datetime  # here, so that a command given --time never loads it
-
-        return TimeOfDay.from_datetime(datetime.now())
+        now = localtime()
+        return TimeOfDay(now.tm_hour * 60 + now.tm_min)
 
 
 class ScriptedTimeSource:

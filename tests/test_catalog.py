@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 
 import pytest
@@ -121,6 +122,21 @@ def test_load_scheme_bad_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidSchemeError, match="JSON"):
         load_scheme(path)
+
+
+class _PathLike:
+    def __init__(self, path):
+        self._path = path
+
+    def __fspath__(self):
+        return str(self._path)
+
+
+@pytest.mark.parametrize("wrap", [str, pathlib.Path, _PathLike], ids=["str", "Path", "PathLike"])
+def test_load_scheme_takes_any_path(tmp_path, wrap):
+    rows = [{"lamps": n} for n in TRIANGULAR.lamp_counts]
+    path = write_scheme(tmp_path, {"name": "triangular", "cycle_minutes": 720, "rows": rows})
+    assert load_scheme(wrap(path)) == TRIANGULAR
 
 
 def test_load_scheme_missing_file(tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lampclock
-from lampclock import ScriptedTimeSource, TimeOfDay
+from lampclock import ScriptedTimeSource, SystemTimeSource, TimeOfDay, timesource
 from lampclock.cli import (
     CLEAR_AND_HOME,
     EXIT_INPUT,
@@ -116,11 +116,12 @@ class TestShow:
         assert main(["show", "--time", "04:49", "--color", "always"]) == EXIT_OK
         assert "\x1b[32m" in capsys.readouterr().out
 
-    def test_no_color_respected_on_tty(self, monkeypatch):
-        monkeypatch.setenv("NO_COLOR", "1")
+    @pytest.mark.parametrize("value, colored", [("1", False), ("", True)])
+    def test_no_color_respected_on_tty(self, monkeypatch, value, colored):
+        monkeypatch.setenv("NO_COLOR", value)  # only a non-empty value turns color off
         out = TtyBuffer()
         assert cmd_show(parse("show", "--time", "04:49"), out=out) == EXIT_OK
-        assert "\x1b[" not in out.getvalue()
+        assert ("\x1b[" in out.getvalue()) == colored
 
     def test_tty_colors_by_default(self, monkeypatch):
         monkeypatch.delenv("NO_COLOR", raising=False)
@@ -294,6 +295,11 @@ class TestValidate:
         assert main([*argv, "a" * 5000]) == EXIT_SCHEME
         assert "unknown scheme" in capsys.readouterr().err
 
+    def test_missing_file_is_named_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "./nowhere.json"]) == EXIT_SCHEME
+        assert "cannot read scheme file ./nowhere.json:" in capsys.readouterr().err
+
     def test_fifo_without_writer_is_read_as_empty(self, tmp_path):
         path = tmp_path / "fifo.json"
         os.mkfifo(path)
@@ -411,6 +417,12 @@ class TestTick:
         out = io.StringIO()
         cmd_tick(bits_args("tick"), out=out, source=source, sleep=lambda s: None, max_polls=10_000)
         assert len(out.getvalue().splitlines()) == 10_000
+
+    def test_system_source_reads_local_time(self, monkeypatch):
+        pinned = time.struct_time((2026, 10, 19, 16, 7, 59, 0, 292, 0))
+        monkeypatch.setattr(timesource, "localtime", lambda: pinned)
+        now = SystemTimeSource().now()
+        assert (now.hour, now.minute) == (16, 7)
 
     def test_scripted_source_replays_every_time_once(self):
         times = [TimeOfDay(m % 1440) for m in range(10_000)]

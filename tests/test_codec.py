@@ -13,6 +13,8 @@ from lampclock import (
     InvalidSchemeError,
     InvalidStateError,
     Meridiem,
+    RenderFormat,
+    RenderSpec,
     RowScheme,
     RowSpec,
     TimeOfDay,
@@ -22,6 +24,7 @@ from lampclock import (
     derive_units,
     encode,
     make_scheme,
+    render,
     validate,
 )
 from strategies import lamp_count_lists, scheme_and_time, valid_schemes
@@ -148,6 +151,27 @@ class TestEncode:
         hour_face = make_scheme("hour", [1, 2, 3, 4], cycle_minutes=120)
         with pytest.raises(ValueError):
             encode(TimeOfDay(120), hour_face)
+
+    def test_time_past_a_short_schemes_capacity_rejected(self):
+        short = RowScheme("short", (RowSpec(2, 4), RowSpec(3, 1)), 720)  # 12 states; validate reports it
+        assert encode(TimeOfDay(11), short).digits == (2, 3)
+        with pytest.raises(ValueError, match="time 01:40 is past the capacity of scheme 'short'"):
+            encode(TimeOfDay(100), short)
+
+    @given(lamp_count_lists, st.integers(1, 1440) | st.sampled_from([720, 1440]), st.integers(1, 3))
+    def test_every_minute_encodes_to_a_showable_state_or_raises(self, lamps, cycle, base_unit):
+        rows = tuple(RowSpec(n, unit) for n, unit in zip(lamps, derive_units(lamps)))
+        scheme = RowScheme("any", rows, cycle, base_unit)  # short of its cycle, maybe
+        bits = RenderSpec(format=RenderFormat.BITS)
+        for minutes in range(1440):
+            shown = minutes % 720 if scheme.has_meridiem else minutes
+            try:
+                state = encode(TimeOfDay(minutes), scheme)
+            except ValueError:
+                assert shown >= cycle or shown // base_unit >= capacity(scheme)
+                continue
+            render(state, scheme, bits)  # raises InvalidStateError for a state the face cannot show
+            assert decode_minutes(state, scheme) == minutes - shown + shown // base_unit * base_unit
 
     def test_sub_unit_remainder_truncates(self):
         coarse = make_scheme("coarse", [4, 4, 11], cycle_minutes=1440, base_unit_minutes=5)

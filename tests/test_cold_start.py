@@ -1,6 +1,6 @@
 """What a cold start of the CLI imports, checked in fresh interpreters,
-because pytest itself has already imported ``dataclasses``, ``json`` and
-``datetime``."""
+because pytest itself has already imported ``dataclasses``, ``json``,
+``datetime`` and ``pathlib``."""
 
 import ast
 import json
@@ -21,7 +21,7 @@ SRC = Path(lampclock.__file__).resolve().parent.parent
 PROBE = """
 import ast, contextlib, io, sys
 import lampclock.cli as cli
-watched = ("dataclasses", "lampclock.schemes", "json", "datetime")
+watched = ("dataclasses", "lampclock.schemes", "json", "datetime", "pathlib")
 loaded = {"import": [m for m in watched if m in sys.modules]}
 for name, argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -60,8 +60,15 @@ def test_only_the_schemes_command_loads_schemes():
     assert loaded["schemes"] == [0, "lampclock.schemes", "json"]
 
 
-def test_only_reading_the_clock_loads_datetime():
-    assert probe(("now", ["show", "--format", "bits"]))["now"] == [0, "datetime"]
+def test_no_command_loads_datetime_or_pathlib(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text('{"name": "ok", "cycle_minutes": 2, "rows": [{"lamps": 1}]}')
+    loaded = probe(
+        ("now", ["show", "--format", "bits"]),  # reads the clock
+        ("file", ["validate", str(path)]),
+    )
+    assert loaded["now"] == [0]
+    assert loaded["file"] == [0, "json"]  # for the file
 
 
 def test_schemes_count_loads_schemes():
