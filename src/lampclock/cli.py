@@ -39,7 +39,8 @@ def _silence_stream(stream: TextIO) -> None:
         fd = stream.fileno()
     except (OSError, ValueError):
         return
-    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    with open(os.devnull, "wb") as devnull:  # which closes its descriptor once dup2 has copied it
+        os.dup2(devnull.fileno(), fd)
 
 
 def _setup(args: argparse.Namespace, out: TextIO, source: TimeSource | None,

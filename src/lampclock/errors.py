@@ -31,6 +31,9 @@ class MonotoneFillError(BitsParseError):
         super().__init__(message)
         self.row = row
 
+    def __reduce__(self):  # Exception's own passes only args, which lacks ``row``
+        return type(self), (self.row, *self.args)
+
 
 class EnumerationCapError(ClockError):
     """Shape enumeration exceeded the configured result limit."""

@@ -28,50 +28,29 @@ class Layout(Enum):
     BERLIN_BLOCKS = "berlin"
 
 
-ANSI_COLOR_CODES = {
-    "black": 30,
-    "red": 31,
-    "green": 32,
-    "yellow": 33,
-    "blue": 34,
-    "magenta": 35,
-    "cyan": 36,
-    "white": 37,
-}
+ANSI_COLOR_CODES = {"red": 31, "green": 32, "yellow": 33}
 
-# Styling for schemes without a meridiem flag (24h Berlin-style faces):
-# lit lamps render yellow, with every third lamp of an 11-lamp row
-# accented red, echoing the quarter-hour marks of the Berlin clock.
-DEFAULT_LIT_COLOR = "yellow"
-ACCENT_COLOR = "red"
+# The fixed face. A lit lamp takes its half's color, AM or PM; with no meridiem
+# (24h Berlin-style faces) it is yellow, except that every third lamp of an
+# 11-lamp row is red, echoing the quarter-hour marks of the Berlin clock.
+AM_COLOR, PM_COLOR = "green", "red"
+DEFAULT_LIT_COLOR, ACCENT_COLOR = "yellow", "red"
+LIT_GLYPH, UNLIT_GLYPH = "●", "○"
 UNLIT_SVG_FILL = "#dddddd"
 SVG_PITCH = 40  # even, so that circle centres (multiples of half the pitch) are whole numbers
 
 
 class RenderSpec(_Record):
-    """Output format plus styling knobs for a render."""
+    """What a caller chooses for a render: format, layout, and color on or off."""
 
-    __slots__ = ("format", "lit_glyph", "unlit_glyph", "am_color", "pm_color", "layout", "use_color")
+    __slots__ = ("format", "layout", "use_color")
 
-    def __init__(self, format: RenderFormat = RenderFormat.ANSI, lit_glyph: str = "●",
-                 unlit_glyph: str = "○", am_color: str = "green", pm_color: str = "red",
+    def __init__(self, format: RenderFormat = RenderFormat.ANSI,
                  layout: Layout = Layout.TRIANGLE_CENTERED, use_color: bool = True):
         for value, kind in ((format, RenderFormat), (layout, Layout)):
             if not isinstance(value, kind):
                 raise ValueError(f"{kind.__name__} expected, got {value!r}")
-        for glyph in (lit_glyph, unlit_glyph):
-            if len(glyph) != 1 or not glyph.isprintable() or glyph.isspace():
-                raise ValueError(f"glyph must be a single visible character: {glyph!r}")
-        for color in (am_color, pm_color):
-            if color not in ANSI_COLOR_CODES:
-                raise RenderError(
-                    f"unknown terminal color {color!r} (choose from {', '.join(ANSI_COLOR_CODES)})"
-                )
         _set(self, "format", format)
-        _set(self, "lit_glyph", lit_glyph)
-        _set(self, "unlit_glyph", unlit_glyph)
-        _set(self, "am_color", am_color)
-        _set(self, "pm_color", pm_color)
         _set(self, "layout", layout)
         _set(self, "use_color", use_color)
 
@@ -119,15 +98,11 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
     )
 
 
-def _rows(state: DisplayState, scheme: RowScheme, spec: RenderSpec):
+def _rows(state: DisplayState, scheme: RowScheme):
     """Yield ``(row, digit, colors)`` for every row, top row first, where
-    ``colors`` holds the color of each of the row's ``digit`` lit lamps.
-
-    Every lit lamp takes the meridiem's color. With no meridiem, lit lamps
-    are yellow, except that every third lamp of an 11-lamp row is red.
-    """
+    ``colors`` holds the color of each of the row's ``digit`` lit lamps."""
     meridiem = state.meridiem
-    meridiem_color = None if meridiem is None else spec.am_color if meridiem is _AM else spec.pm_color
+    meridiem_color = None if meridiem is None else AM_COLOR if meridiem is _AM else PM_COLOR
     for digit, row in zip(state.digits, scheme.rows):
         if meridiem_color:
             colors = [meridiem_color] * digit
@@ -142,7 +117,7 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
     max_lamps = max(row.lamp_count for row in scheme.rows)
     blocks = spec.layout is Layout.BERLIN_BLOCKS
     left, right = ("[", "]") if blocks else ("", "")
-    lit, unlit = f"{left}{spec.lit_glyph}{right}", f"{left}{spec.unlit_glyph}{right}"
+    lit, unlit = f"{left}{LIT_GLYPH}{right}", f"{left}{UNLIT_GLYPH}{right}"
 
     # Center each row over the widest row (the bottom row of a triangle).
     # Padding is computed from lamp counts, not rendered text, so that
@@ -150,9 +125,9 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
     cell_width = 3 if blocks else 2
     joiner = "" if blocks else " "
     padded = []
-    for row, digit, colors in _rows(state, scheme, spec):
+    for row, digit, colors in _rows(state, scheme):
         if spec.use_color:
-            cells = [f"{left}\x1b[{ANSI_COLOR_CODES[c]}m{spec.lit_glyph}\x1b[0m{right}" for c in colors]
+            cells = [f"{left}\x1b[{ANSI_COLOR_CODES[c]}m{LIT_GLYPH}\x1b[0m{right}" for c in colors]
         else:
             cells = [lit] * digit
         cells += [unlit] * (row.lamp_count - digit)
@@ -168,7 +143,7 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str
     height = len(scheme.rows) * pitch
 
     shapes = []
-    for k, (row, digit, colors) in enumerate(_rows(state, scheme, spec)):
+    for k, (row, digit, colors) in enumerate(_rows(state, scheme)):
         lamps = row.lamp_count
         fills = colors + [UNLIT_SVG_FILL] * (lamps - digit)
         y = k * pitch

@@ -478,6 +478,19 @@ class TestOutputFailure:
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
 
 
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # so that the flush of main's output fails with BrokenPipeError
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        probe = os.open(os.devnull, os.O_RDONLY)  # the lowest free descriptor
+        os.close(probe)
+        assert main(["show", "--time", "04:49", "--format", "bits"]) == EXIT_OK
+        after = os.open(os.devnull, os.O_RDONLY)
+        os.close(after)
+    assert after == probe
+
+
 def strip_escapes(text):
     import re
 

@@ -5,6 +5,7 @@ because pytest itself has already imported ``dataclasses``, ``json``,
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,3 +106,12 @@ def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lampclock.no_such_name
     assert not hasattr(lampclock, "MAX_TARGET")
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    assert example, "README.md has no python block under ## Library"
+    namespace = {}
+    exec(example.group(1), namespace)
+    assert namespace["state"].digits == (0, 2, 1, 3, 1)

@@ -11,7 +11,6 @@ from lampclock import (
     InvalidSchemeError,
     Layout,
     Meridiem,
-    RenderError,
     RenderFormat,
     RenderSpec,
     RowScheme,
@@ -61,11 +60,10 @@ CASES = {
         "ValidationReport(violations=(Violation(kind='capacity', row=None, message='short'),))",
     ),
     "RenderSpec": (
-        RenderSpec(), RenderSpec(RenderFormat.ANSI, "●", "○", "green", "red", Layout.TRIANGLE_CENTERED, True),
+        RenderSpec(), RenderSpec(RenderFormat.ANSI, Layout.TRIANGLE_CENTERED, True),
         RenderSpec(use_color=False),
-        (RenderFormat.ANSI, "●", "○", "green", "red", Layout.TRIANGLE_CENTERED, True),
-        "RenderSpec(format=<RenderFormat.ANSI: 'ansi'>, lit_glyph='●', unlit_glyph='○', "
-        "am_color='green', pm_color='red', layout=<Layout.TRIANGLE_CENTERED: 'triangle'>, "
+        (RenderFormat.ANSI, Layout.TRIANGLE_CENTERED, True),
+        "RenderSpec(format=<RenderFormat.ANSI: 'ansi'>, layout=<Layout.TRIANGLE_CENTERED: 'triangle'>, "
         "use_color=True)",
     ),
     "SchemeShape": (
@@ -79,7 +77,7 @@ CASES = {
 NAMES = sorted(CASES)
 FIELD = {"RowSpec": "unit_value", "RowScheme": "rows", "TimeOfDay": "minutes_since_midnight",
          "DisplayState": "digits", "Violation": "message", "ValidationReport": "violations",
-         "RenderSpec": "am_color", "SchemeShape": "lamp_counts"}
+         "RenderSpec": "layout", "SchemeShape": "lamp_counts"}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -196,23 +194,31 @@ class TestConstructors:
         with pytest.raises(ValueError, match="digits must be non-negative integers"):
             DisplayState((digit, 0, 0, 0, 0), Meridiem.AM)
 
-    @pytest.mark.parametrize("kwargs, error", [
-        ({"lit_glyph": "ab"}, ValueError), ({"lit_glyph": ""}, ValueError),
-        ({"unlit_glyph": " "}, ValueError), ({"unlit_glyph": "\n"}, ValueError),
-        ({"am_color": "pink"}, RenderError), ({"pm_color": "#fff"}, RenderError),
-        # a type check, not coercion: an enum's value is not one of its members
-        ({"format": "bits"}, ValueError), ({"format": None}, ValueError),
-        ({"format": Layout.LEFT_ALIGNED}, ValueError),
-        ({"layout": "left"}, ValueError), ({"layout": None}, ValueError),
-        ({"layout": RenderFormat.SVG}, ValueError),
-    ])
-    def test_render_spec_rejects(self, kwargs, error):
-        with pytest.raises(error):
+    # a type check, not coercion: an enum's value is not one of its members
+    @pytest.mark.parametrize("kwargs", [
+        {"format": "bits"}, {"format": None}, {"format": Layout.LEFT_ALIGNED},
+        {"layout": "left"}, {"layout": None}, {"layout": RenderFormat.SVG},
+    ], ids=repr)
+    def test_render_spec_rejects(self, kwargs):
+        with pytest.raises(ValueError, match="expected, got"):
             RenderSpec(**kwargs)
+
+    # the glyphs and lamp colors are constants of the face, not options
+    @pytest.mark.parametrize("keyword", ["lit_glyph", "unlit_glyph", "am_color", "pm_color"])
+    def test_render_spec_has_no_styling_keyword(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            RenderSpec(**{keyword: "red"})
+
+    def test_render_spec_refuses_the_old_positional_form(self):
+        with pytest.raises(ValueError, match="Layout expected, got '●'"):
+            RenderSpec(RenderFormat.ANSI, "●")
+        with pytest.raises(TypeError):
+            RenderSpec(RenderFormat.ANSI, "●", "○", "green", "red", Layout.TRIANGLE_CENTERED, True)
 
     def test_render_spec_defaults(self):
         spec = RenderSpec(format=RenderFormat.SVG)
-        assert (spec.lit_glyph, spec.unlit_glyph, spec.am_color, spec.pm_color) == ("●", "○", "green", "red")
+        assert spec.__slots__ == ("format", "layout", "use_color")
+        assert spec.format is RenderFormat.SVG
         assert spec.layout is Layout.TRIANGLE_CENTERED and spec.use_color is True
 
     def test_plain_records_keep_their_arguments(self):

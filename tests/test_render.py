@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import time
 import xml.etree.ElementTree as ET
@@ -31,7 +33,7 @@ from lampclock import (
     render,
 )
 from lampclock.codec import MAX_LAMPS_PER_ROW
-from lampclock.render import default_layout
+from lampclock.render import ANSI_COLOR_CODES, UNLIT_SVG_FILL, default_layout
 from strategies import scheme_and_time, valid_schemes
 
 ANSI_ESCAPES = re.compile(r"\x1b\[[0-9;]*m")
@@ -81,6 +83,17 @@ class TestParseBits:
             parse_bits("0/01/000/0000/00000", TRIANGULAR, Meridiem.AM)
         assert exc_info.value.row == 2
         assert "row 2" in str(exc_info.value)
+
+    # so that a worker process can send the error back, as multiprocessing pickles it
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_gapped_row_error_survives_pickle_and_copy(self, clone):
+        with pytest.raises(MonotoneFillError) as exc_info:
+            parse_bits("0/01/000/0000/00000", TRIANGULAR, Meridiem.AM)
+        error = exc_info.value
+        twin = clone(error)
+        assert type(twin) is MonotoneFillError and twin is not error
+        assert (twin.row, str(twin), twin.args) == (error.row, str(error), error.args)
 
     def test_row_count_mismatch(self):
         with pytest.raises(BitsParseError):
@@ -163,11 +176,6 @@ class TestAnsi:
         art = render(state_at("00:00"), TRIANGULAR, RenderSpec())
         assert "\x1b[" not in art
 
-    def test_custom_glyphs(self):
-        spec = RenderSpec(lit_glyph="#", unlit_glyph=".", use_color=False)
-        art = render(state_at("04:49"), TRIANGULAR, spec)
-        assert art.splitlines()[-1] == "# . . . ."
-
     def test_berlin_blocks_layout(self):
         spec = RenderSpec(layout=Layout.BERLIN_BLOCKS, use_color=False)
         art = render(state_at("10:31", BERLIN), BERLIN, spec)
@@ -187,25 +195,24 @@ class TestAnsi:
         with pytest.raises(RenderError):
             render(state_at("04:49"), TRIANGULAR, spec)
 
-    def test_unknown_terminal_color(self):
-        with pytest.raises(RenderError):
-            spec = RenderSpec(am_color="chartreuse")
-            render(state_at("04:49"), TRIANGULAR, spec)
 
-
-class TestRenderSpecValidation:
-    @pytest.mark.parametrize("glyph", ["", "ab", " ", "\t"])
-    def test_rejects_bad_glyphs(self, glyph):
-        with pytest.raises(ValueError):
-            RenderSpec(lit_glyph=glyph)
-
-    @pytest.mark.parametrize("field", ["am_color", "pm_color"])
-    def test_svg_color_injection_rejected(self, field):
-        # colors are checked against the terminal names before any format uses them
-        with pytest.raises(RenderError):
-            spec = RenderSpec(format=RenderFormat.SVG, **{field: '"/><script>alert(1)</script><x a="'})
-            render(state_at("04:49"), TRIANGULAR, spec)
-            render(state_at("16:49"), TRIANGULAR, spec)
+# The lamp colors are constants of the face: a render draws each lit lamp in
+# its half's color, or yellow and red with no meridiem, and nothing else.
+@pytest.mark.parametrize("fmt", [RenderFormat.ANSI, RenderFormat.SVG])
+@pytest.mark.parametrize("text, scheme, palette", [
+    ("04:49", TRIANGULAR, {"green"}), ("16:49", TRIANGULAR, {"red"}), ("10:31", BERLIN, {"yellow", "red"}),
+], ids=["am", "pm", "no-meridiem"])
+def test_lit_lamps_take_only_the_fixed_colors(fmt, text, scheme, palette):
+    state = state_at(text, scheme)
+    rendered = render(state, scheme, RenderSpec(format=fmt, layout=default_layout(scheme)))
+    if fmt is RenderFormat.ANSI:
+        names = {code: name for name, code in ANSI_COLOR_CODES.items()}
+        lit = [names[int(code)] for code in re.findall(r"\x1b\[(\d+)m●\x1b\[0m", rendered)]
+        assert len(re.findall(r"\x1b\[", rendered)) == 2 * len(lit)  # every escape paints or resets a lamp
+    else:
+        lit = [shape.get("fill") for shape in ET.fromstring(rendered)]
+        lit = [fill for fill in lit if fill != UNLIT_SVG_FILL]
+    assert len(lit) == sum(state.digits) and set(lit) == palette
 
 
 class TestJson:
@@ -376,7 +383,7 @@ class TestRowWidthBound:
         scheme = make_scheme("wide", [MAX_LAMPS_PER_ROW], 1440)
         state = encode(TimeOfDay(1439), scheme)
         spec = RenderSpec(format=fmt, use_color=False)
-        assert lit_counts_per_row(render(state, scheme, spec), fmt, scheme, spec) == [1439]
+        assert lit_counts_per_row(render(state, scheme, spec), fmt, scheme) == [1439]
 
 
 # Lamp counts the row bound and the int rule must sort out, among ordinary ones
@@ -397,14 +404,14 @@ def test_make_scheme_builds_only_drawable_schemes(lamps, cycle):
         assert render(state, scheme, RenderSpec(format=fmt, layout=default_layout(scheme)))
 
 
-def lit_counts_per_row(rendered, fmt, scheme, spec):
+def lit_counts_per_row(rendered, fmt, scheme):
     """Extract per-row lit-lamp counts from any rendered format."""
     if fmt is RenderFormat.BITS:
         return [row.count("1") for row in rendered.split("/")]
     if fmt is RenderFormat.JSON:
         return json.loads(rendered)["digits"]
     if fmt is RenderFormat.ANSI:
-        return [strip_ansi(line).count(spec.lit_glyph) for line in rendered.splitlines()]
+        return [strip_ansi(line).count("●") for line in rendered.splitlines()]
     root = ET.fromstring(rendered)
     counts = []
     shapes = list(root)
@@ -420,7 +427,7 @@ def test_lit_glyph_count_equals_digits_in_every_format(fmt, text, scheme):
     state = state_at(text, scheme)
     spec = RenderSpec(format=fmt)
     rendered = render(state, scheme, spec)
-    assert lit_counts_per_row(rendered, fmt, scheme, spec) == list(state.digits)
+    assert lit_counts_per_row(rendered, fmt, scheme) == list(state.digits)
 
 
 @given(scheme_and_time())
