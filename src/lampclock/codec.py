@@ -202,6 +202,15 @@ class DisplayState(_Record):
 _set_minutes = TimeOfDay.minutes_since_midnight.__set__
 _set_digits, _set_meridiem = (getattr(DisplayState, name).__set__ for name in DisplayState.__slots__)
 _AM, _PM = Meridiem.AM, Meridiem.PM
+_new = object.__new__
+
+
+def _state(digits: tuple[int, ...], meridiem: Meridiem | None) -> DisplayState:
+    """A state from digits and a meridiem its caller made or checked: no second check."""
+    state = _new(DisplayState)
+    _set_digits(state, digits)
+    _set_meridiem(state, meridiem)
+    return state
 
 
 def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
@@ -264,7 +273,7 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
         digits.append(digit)
     if digits[0] > scheme.rows[0].lamp_count:  # only the top row can overflow
         raise ValueError(f"time {time} is past the capacity of scheme {scheme.name!r}")
-    return DisplayState(tuple(digits), meridiem)
+    return _state(tuple(digits), meridiem)
 
 
 def decode_minutes(state: DisplayState, scheme: RowScheme) -> int:
@@ -274,10 +283,7 @@ def decode_minutes(state: DisplayState, scheme: RowScheme) -> int:
     time of day, so surplus states of an over-capacity scheme (the Berlin
     layout can show up to 1499) still decode to their numeric value.
     """
-    _check_state(state, scheme)
-    units = 0
-    for digit, row in zip(state.digits, scheme.rows):
-        units += digit * row.unit_value
+    units = _check_state(state, scheme)
     return units * scheme.base_unit_minutes + (HALF_DAY if state.meridiem is _PM else 0)
 
 
@@ -286,18 +292,24 @@ def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
     total = decode_minutes(state, scheme)
     if total >= MINUTES_PER_DAY:
         raise InvalidStateError(f"state decodes to {total} minutes, past the end of the day")
-    return TimeOfDay(total)
+    time = _new(TimeOfDay)
+    _set_minutes(time, total)  # an int in [0, 1440): TimeOfDay's own check would pass
+    return time
 
 
-def _check_state(state: DisplayState, scheme: RowScheme) -> None:
-    if len(state.digits) != len(scheme.rows):
-        raise InvalidStateError(
-            f"state has {len(state.digits)} digits, scheme {scheme.name!r} has {len(scheme.rows)} rows"
-        )
-    for i, (digit, row) in enumerate(zip(state.digits, scheme.rows)):
-        if digit > row.lamp_count:
-            raise InvalidStateError(f"row {i + 1} shows {digit} lit lamps but only has {row.lamp_count}")
+def _check_state(state: DisplayState, scheme: RowScheme) -> int:
+    """Check the state against the scheme and return its weighted digit sum, in base units."""
+    digits, rows = state.digits, scheme.rows
+    if len(digits) != len(rows):
+        raise InvalidStateError(f"state has {len(digits)} digits, scheme {scheme.name!r} has {len(rows)} rows")
+    units = 0
+    for digit, row in zip(digits, rows):
+        if digit > row.lamp_count:  # rows differ in unit_value, so index() finds this one
+            raise InvalidStateError(
+                f"row {rows.index(row) + 1} shows {digit} lit lamps but only has {row.lamp_count}")
+        units += digit * row.unit_value
     _check_meridiem(scheme, state.meridiem)
+    return units
 
 
 def _check_meridiem(scheme: RowScheme, meridiem: Meridiem | None) -> None:

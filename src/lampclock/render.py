@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .codec import (_AM, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
-                    TimeOfDay, _check_meridiem, _check_state, _Record, _set, decode_minutes)
+                    _check_meridiem, _check_state, _Record, _set, _state, decode_minutes)
 from .errors import BitsParseError, MonotoneFillError, RenderError
 
 
@@ -47,7 +47,7 @@ class RenderSpec(_Record):
 
     def __init__(self, format: RenderFormat = RenderFormat.ANSI,
                  layout: Layout = Layout.TRIANGLE_CENTERED, use_color: bool = True):
-        for value, kind in ((format, RenderFormat), (layout, Layout)):
+        for value, kind in ((format, RenderFormat), (layout, Layout), (use_color, bool)):
             if not isinstance(value, kind):
                 raise ValueError(f"{kind.__name__} expected, got {value!r}")
         _set(self, "format", format)
@@ -85,17 +85,13 @@ def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
 
 
 def _render_json(state: DisplayState, scheme: RowScheme) -> str:
-    import json  # here, not at the top: the other formats start faster without it
+    from json.encoder import encode_basestring_ascii as quote  # json.dumps's escaper, loaded only for JSON
 
     minutes = decode_minutes(state, scheme)
-    return json.dumps(
-        {
-            "scheme": scheme.name,
-            "digits": list(state.digits),
-            "meridiem": state.meridiem.value if state.meridiem else None,
-            "time": str(TimeOfDay(minutes)) if minutes < MINUTES_PER_DAY else None,  # surplus: null
-        }
-    )
+    meridiem = f'"{state.meridiem.value}"' if state.meridiem else "null"
+    time = f'"{minutes // 60:02d}:{minutes % 60:02d}"' if minutes < MINUTES_PER_DAY else "null"  # surplus
+    return (f'{{"scheme": {quote(scheme.name)}, "digits": [{", ".join(map(str, state.digits))}], '
+            f'"meridiem": {meridiem}, "time": {time}}}')
 
 
 def _rows(state: DisplayState, scheme: RowScheme):
@@ -124,12 +120,13 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
     # invisible ANSI escape bytes do not skew the alignment.
     cell_width = 3 if blocks else 2
     joiner = "" if blocks else " "
+    if spec.use_color:  # each color's lit cell, formatted once
+        paint = {c: f"{left}\x1b[{code}m{LIT_GLYPH}\x1b[0m{right}" for c, code in ANSI_COLOR_CODES.items()}
+    rows = _rows(state, scheme) if spec.use_color else (  # without color, no row needs its lamps' colors
+        (row, digit, None) for digit, row in zip(state.digits, scheme.rows))
     padded = []
-    for row, digit, colors in _rows(state, scheme):
-        if spec.use_color:
-            cells = [f"{left}\x1b[{ANSI_COLOR_CODES[c]}m{LIT_GLYPH}\x1b[0m{right}" for c in colors]
-        else:
-            cells = [lit] * digit
+    for row, digit, colors in rows:
+        cells = [paint[c] for c in colors] if spec.use_color else [lit] * digit
         cells += [unlit] * (row.lamp_count - digit)
         pad = 0 if spec.layout is Layout.LEFT_ALIGNED else (max_lamps - row.lamp_count) * cell_width // 2
         padded.append(" " * pad + joiner.join(cells))
@@ -177,12 +174,13 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
         raise BitsParseError(f"expected {len(scheme.rows)} rows separated by '/', got {len(rows)}")
 
     digits = []
-    for k, (bits, row) in enumerate(zip(rows, scheme.rows), start=1):
+    for bits, row in zip(rows, scheme.rows):
         n = row.lamp_count
-        if len(bits) != n:
-            raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
         ones = bits.count("1")
-        if bits != "1" * ones + "0" * (n - ones):  # one test on the happy path for both rules below
+        if len(bits) != n or bits != "1" * ones + "0" * (n - ones):  # the happy path's one test of all 3 rules
+            k = scheme.rows.index(row) + 1  # rows differ in unit_value, so this is the row's own number
+            if len(bits) != n:
+                raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
             if bits.strip("01"):
                 raise BitsParseError(f"row {k} contains characters other than 0/1: {bits!r}")
             raise MonotoneFillError(
@@ -190,4 +188,6 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
         digits.append(ones)
 
     _check_meridiem(scheme, meridiem)
-    return DisplayState(tuple(digits), meridiem)
+    if meridiem is not None and type(meridiem) is not Meridiem:  # as DisplayState checks it
+        raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
+    return _state(tuple(digits), meridiem)

@@ -74,10 +74,10 @@ _set_lamp_counts, _set_classification, _set_total_lamps = (
 
 # Trial divisors. What trial division leaves is coprime to each, so each can be a Miller-Rabin base.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (bound, bases): Miller-Rabin on the first primes is exact below each bound (Pomerance et al. 1980,
+# (bound, count): Miller-Rabin on the first count primes is exact below bound (Pomerance et al. 1980,
 # Jaeschke 1993, Jiang and Deng 2014, Sorenson and Webster 2015). Each bound fools its bases: n < bound.
-_MR_TIERS = ((3_215_031_751, _SMALL_PRIMES[:4]), (341_550_071_728_321, _SMALL_PRIMES[:7]),
-             (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]), (MAX_TARGET, _SMALL_PRIMES))
+_MR_TIERS = ((2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_747, 5),
+             (3_474_749_660_383, 6), (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9), (MAX_TARGET, 12))
 _RHO_BATCH = 64  # gcds are taken over products of this many differences
 
 
@@ -88,12 +88,12 @@ def _check_target(target_states: int) -> None:
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin for 37 < n < MAX_TARGET, with the fewest bases exact for n."""
-    for bound, bases in _MR_TIERS:
+    for bound, count in _MR_TIERS:
         if n < bound:
             break
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == d * 2**s with d odd
     d = (n - 1) >> s
-    for a in bases:
+    for a in _SMALL_PRIMES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

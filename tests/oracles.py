@@ -7,6 +7,7 @@ primes are recognized by trial division, a sieve or Lucas's converse of
 Fermat's theorem, never by Miller-Rabin.
 """
 
+import json
 from itertools import product
 from math import prod
 
@@ -83,3 +84,15 @@ def lucas_proves_prime(n: int, primes_of_n_minus_1: list[int]) -> bool:
         ):
             return True
     return False
+
+
+def json_render(name: str, digits: tuple[int, ...], meridiem: str | None, minutes: int) -> str:
+    """The JSON render of a state as ``json.dumps`` writes it with its default
+    settings: ``minutes`` is the state's value, and one past the end of the
+    day has a null time."""
+    return json.dumps({
+        "scheme": name,
+        "digits": list(digits),
+        "meridiem": meridiem,
+        "time": f"{minutes // 60:02d}:{minutes % 60:02d}" if minutes < 1440 else None,
+    })

@@ -206,6 +206,12 @@ class TestDecode:
         with pytest.raises(InvalidStateError):
             decode(DisplayState((2, 0, 0, 0, 0), Meridiem.AM), TRIANGULAR)
 
+    def test_over_full_row_is_named_after_a_row_with_the_same_digit(self):
+        # rows 3 and 4 both show 5 lamps; only row 4, of 4 lamps, is over-full
+        with pytest.raises(InvalidStateError) as info:
+            decode(DisplayState((0, 0, 5, 5)), BERLIN)
+        assert str(info.value) == "row 4 shows 5 lit lamps but only has 4"
+
     def test_wrong_digit_count_rejected(self):
         with pytest.raises(InvalidStateError):
             decode(DisplayState((0, 0, 0), Meridiem.AM), TRIANGULAR)

@@ -198,6 +198,7 @@ class TestConstructors:
     @pytest.mark.parametrize("kwargs", [
         {"format": "bits"}, {"format": None}, {"format": Layout.LEFT_ALIGNED},
         {"layout": "left"}, {"layout": None}, {"layout": RenderFormat.SVG},
+        {"use_color": "no"}, {"use_color": 1}, {"use_color": None},
     ], ids=repr)
     def test_render_spec_rejects(self, kwargs):
         with pytest.raises(ValueError, match="expected, got"):

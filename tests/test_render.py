@@ -34,6 +34,7 @@ from lampclock import (
 )
 from lampclock.codec import MAX_LAMPS_PER_ROW
 from lampclock.render import ANSI_COLOR_CODES, UNLIT_SVG_FILL, default_layout
+from oracles import json_render
 from strategies import scheme_and_time, valid_schemes
 
 ANSI_ESCAPES = re.compile(r"\x1b\[[0-9;]*m")
@@ -115,6 +116,13 @@ class TestParseBits:
         with pytest.raises(InvalidStateError):
             parse_bits("0000/0000/00000000000/0000", BERLIN, Meridiem.AM)
 
+    def test_meridiem_must_be_a_meridiem(self):
+        # the check DisplayState would make: a string is not a Meridiem
+        with pytest.raises(ValueError, match="Meridiem or None expected, got 'AM'"):
+            parse_bits("0/11/100/1110/10000", TRIANGULAR, "AM")
+        with pytest.raises(InvalidStateError):  # on a 24-hour face any flag is one too many
+            parse_bits("0000/0000/00000000000/0000", BERLIN, "AM")
+
 
 @given(valid_schemes(), st.data())
 def test_each_row_reports_its_first_broken_rule(scheme, data):
@@ -141,6 +149,17 @@ def test_bits_round_trip_every_state(scheme):
     for digits in product(*ranges):
         state = DisplayState(digits, meridiem)
         assert parse_bits(render(state, scheme, BITS), scheme, meridiem) == state
+
+
+@pytest.mark.parametrize("scheme", [TRIANGULAR, BERLIN], ids=lambda s: s.name)
+def test_built_states_pass_the_constructors_checks(scheme):
+    # encode and parse_bits build their states without DisplayState's checks
+    for minutes in range(1440):
+        state = encode(TimeOfDay(minutes), scheme)
+        assert state == DisplayState(state.digits, state.meridiem)
+        assert type(state.digits) is tuple and all(type(digit) is int for digit in state.digits)
+        parsed = parse_bits(render(state, scheme, BITS), scheme, state.meridiem)
+        assert parsed == state and all(type(digit) is int for digit in parsed.digits)
 
 
 class TestAnsi:
@@ -240,6 +259,25 @@ class TestJson:
         assert render(all_on, BERLIN, BITS) == "1111/1111/11111111111/1111"
         last = DisplayState((4, 3, 11, 4))  # 23:59, the last minute of the day
         assert json.loads(render(last, BERLIN, RenderSpec(format=RenderFormat.JSON)))["time"] == "23:59"
+
+
+# names that JSON must escape: a quote, a backslash, control characters and non-ASCII text
+@pytest.mark.parametrize("name", ['say "hi"', "back\\slash", "tab\there", "new\nline", "nul\x00",
+                                  "café", "grin \U0001F600"], ids=repr)
+def test_json_bytes_match_json_dumps(name):
+    # every state of a 12-hour triangle (AM and PM) and of a 24-hour Berlin face, surplus included
+    spec = RenderSpec(format=RenderFormat.JSON)
+    faces = [((1, 2, 3, 4, 5), 720, (360, 120, 30, 6, 1)), ((4, 4, 11, 4), 1440, (300, 60, 5, 1))]
+    surplus = 0
+    for lamps, cycle, units in faces:
+        scheme = make_scheme(name, lamps, cycle)
+        for digits in product(*(range(n + 1) for n in lamps)):
+            value = sum(d * u for d, u in zip(digits, units))
+            for meridiem, offset in ((("AM", 0), ("PM", 720)) if cycle == 720 else ((None, 0),)):
+                state = DisplayState(digits, meridiem and Meridiem(meridiem))
+                assert render(state, scheme, spec) == json_render(name, digits, meridiem, value + offset)
+            surplus += value >= 1440
+    assert surplus == 60  # berlin shows 24:00 to 24:59, whose time is null
 
 
 class TestSvg:

@@ -222,9 +222,9 @@ class TestEnumerateShapes:
 class TestFactorize:
     @pytest.mark.parametrize("n", [
         561, 41041, 825265,  # Carmichael numbers
-        # the least strong pseudoprimes to the bases 2..3, 2..5, 2..7, 2..11, 2..13, 2..19
-        # and 2..31; three of them are tier bounds
-        1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        # the least strong pseudoprimes to the bases 2, 2..3, 2..5, 2..7, 2..11, 2..13, 2..19
+        # and 2..31; each is the bound of a tier, so it is tested with the next tier's bases
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
         3825123056546413051,
         999983**2, 1000003**2, 999983**3, 1000003**3,
         2147483647 * 2147483629, 2147483659 * 2147483647,  # two primes near 2**31
@@ -240,11 +240,27 @@ class TestFactorize:
         assert _factorize(n) == {n: 1}
         assert lucas_proves_prime(n, [2, 2, 11, 137, 547, 5594472617641])
 
-    @pytest.mark.parametrize("twos, threes", [(3, 22), (4, 36)])  # inside the 2nd and 3rd tiers
+    @pytest.mark.parametrize("twos, threes", [(3, 22), (4, 36)])  # inside the 5th and 8th tiers
     def test_primes_of_the_middle_tiers(self, twos, threes):
         n = 2**twos * 3**threes + 1
         assert _factorize(n) == {n: 1}
         assert lucas_proves_prime(n, [2] * twos + [3] * threes)
+
+    # a prime just below the bound of each tier with 1, 2, 3, 5 and 6 bases, with the primes of n - 1
+    @pytest.mark.parametrize("n, primes_of_n_minus_1, bases", [
+        (2039, [2, 1019], 1),
+        (1373639, [2, 7, 59, 1663], 2),
+        (25325981, [2, 2, 5, 61, 20759], 3),
+        (2152302898729, [2, 2, 2, 3, 2689, 33350423], 5),
+        (3474749660329, [2, 2, 2, 3, 3, 3, 30259, 531637], 6),
+    ], ids=str)
+    def test_primes_below_the_bounds_use_the_fewest_bases(self, monkeypatch, n, primes_of_n_minus_1, bases):
+        assert lucas_proves_prime(n, primes_of_n_minus_1)
+        assert _factorize(n) == {n: 1}
+        used = []  # a module global shadows the builtin pow that _is_prime calls
+        monkeypatch.setattr(schemes, "pow", lambda a, d, m: used.append(a) or pow(a, d, m), raising=False)
+        assert _is_prime(n)
+        assert used == [2, 3, 5, 7, 11, 13][:bases]
 
     def test_is_prime_agrees_with_a_sieve_below_a_million(self):
         sieve = prime_sieve(10**6)
