@@ -12,7 +12,9 @@ The target is factored once (trial division, Miller-Rabin, Pollard's
 rho). Its prime exponents give the number of layouts, so the cap is
 checked before any layout is built, and the few that are not irregular:
 the triangle if N == (n+1)!, k equal rows if k divides every exponent.
-Each layout is built once, with its class, and only if it is returned.
+The walk below lists the layouts in lexicographic order, so bisection
+finds those few and an unfiltered query makes no lookup per layout. Each
+returned layout is built once, as a bare shape filled through its slots.
 
 The layouts come from one walk up the sorted divisors of N. Those of a
 divisor d are each factor f of d, ascending, as a first row, followed by
@@ -24,6 +26,7 @@ the divisors below N number at most H(N), freed before any shape is built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from math import comb, gcd, prod
 
@@ -71,6 +74,7 @@ class SchemeShape(_Record):
 # The slots' own setters: one call each, where object.__setattr__ looks the name up on every shape
 _set_lamp_counts, _set_classification, _set_total_lamps = (
     getattr(SchemeShape, name).__set__ for name in SchemeShape.__slots__)
+_new = object.__new__
 
 # Trial divisors. What trial division leaves is coprime to each, so each can be a Miller-Rabin base.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -223,10 +227,23 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
         layouts[d] = [head + rest for f, head in heads if d % f == 0 for rest in layouts[d // f]]
     lamp_lists = layouts.pop(target_states)
     del layouts  # the shorter layouts, up to H(N) tuples, are freed before any shape is built
+    # The list is in lexicographic order, so bisection finds the special layouts: no lookup per layout
+    places = {bisect_left(lamp_lists, lamps): cls for lamps, cls in special.items()} if special else {}
+    if shape_filter is not None:  # IRREGULAR: the special layouts go before any shape is built
+        for i in sorted(places, reverse=True):
+            del lamp_lists[i]
+        places = {}
+    shapes = []
     irregular = ShapeClass.IRREGULAR
-    if shape_filter is None:
-        return [SchemeShape(lamps, special.get(lamps, irregular), sum(lamps)) for lamps in lamp_lists]
-    return [SchemeShape(lamps, irregular, sum(lamps)) for lamps in lamp_lists if lamps not in special]
+    for lamps in lamp_lists:  # a bare shape filled through the setters with what the walk computed
+        shape = _new(SchemeShape)
+        _set_lamp_counts(shape, lamps)
+        _set_classification(shape, irregular)
+        _set_total_lamps(shape, sum(lamps))
+        shapes.append(shape)
+    for i, cls in places.items():
+        _set_classification(shapes[i], cls)
+    return shapes
 
 
 def is_triangular_feasible(target_states: int) -> int | None:

@@ -164,22 +164,29 @@ class TestEnumerateShapes:
     @example(1296)
     @example(4096)
     @example(5040)
+    @example(65536)  # a rectangle at index 0 of a long list
     def test_classification_matches_classify(self, n):
         for shape in enumerate_shapes(n):
             assert shape.classification is classify(shape.lamp_counts)
             assert shape.total_lamps == sum(shape.lamp_counts)
 
+    # 65536 == 2**16: 32,768 layouts, the four rectangles at 0, 21845, 30583 and 32639
     @pytest.mark.parametrize("shape_filter", [None, *ShapeClass])
-    @pytest.mark.parametrize("n", [720, 4096, 5040])
+    @pytest.mark.parametrize("n", [720, 4096, 5040, 65536])
     def test_builds_only_what_it_returns(self, monkeypatch, shape_filter, n):
         built = []
-        init = SchemeShape.__init__
+        init, new = SchemeShape.__init__, schemes._new
 
         def counting_init(self, *args):
             built.append(None)
             init(self, *args)
 
+        def counting_new(cls):  # the bare instances that enumerate_shapes fills through the slots
+            built.append(None)
+            return new(cls)
+
         monkeypatch.setattr(SchemeShape, "__init__", counting_init)
+        monkeypatch.setattr(schemes, "_new", counting_new)
         shapes = enumerate_shapes(n, shape_filter)
         assert len(built) == len(shapes)
 
