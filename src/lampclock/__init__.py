@@ -12,7 +12,6 @@ from .codec import (
     RowSpec,
     TimeOfDay,
     ValidationReport,
-    Violation,
     capacity,
     decode,
     decode_minutes,
@@ -36,8 +35,8 @@ from .timesource import ScriptedTimeSource, SystemTimeSource, TimeSource
 __version__ = "0.1.0"
 
 # Served by __getattr__ (PEP 562), so that .schemes loads on first use only.
-_SCHEMES_NAMES = {"SchemeShape", "ShapeClass", "classify", "count_shapes", "enumerate_shapes",
-                  "is_triangular_feasible", "shape_to_scheme"}
+_SCHEMES_NAMES = {"SchemeShape", "ShapeClass", "count_shapes", "enumerate_shapes", "is_triangular_feasible",
+                  "shape_to_scheme"}
 
 
 def __getattr__(name: str):
@@ -73,9 +72,7 @@ __all__ = [
     "TimeSource",
     "TRIANGULAR",
     "ValidationReport",
-    "Violation",
     "capacity",
-    "classify",
     "count_shapes",
     "decode",
     "decode_minutes",

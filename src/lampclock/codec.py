@@ -280,18 +280,24 @@ def decode_minutes(state: DisplayState, scheme: RowScheme) -> int:
     """Weighted digit sum in minutes, including any PM offset.
 
     Unlike :func:`decode` this does not require the value to be a real
-    time of day, so surplus states of an over-capacity scheme (the Berlin
-    layout can show up to 1499) still decode to their numeric value.
+    time of day inside the cycle, so surplus states of an over-capacity
+    scheme (the Berlin layout can show up to 1499) still decode to their
+    numeric value.
     """
     units = _check_state(state, scheme)
     return units * scheme.base_unit_minutes + (HALF_DAY if state.meridiem is _PM else 0)
 
 
 def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
-    """Sum the lit lamps back into a time of day."""
-    total = decode_minutes(state, scheme)
+    """Sum the lit lamps back into a time of day. A surplus state, whose value before any PM
+    offset lies outside the scheme's cycle, raises ``InvalidStateError``, as encode never shows it."""
+    value = _check_state(state, scheme) * scheme.base_unit_minutes
+    total = value + HALF_DAY if state.meridiem is _PM else value
     if total >= MINUTES_PER_DAY:
         raise InvalidStateError(f"state decodes to {total} minutes, past the end of the day")
+    if value >= scheme.cycle_minutes:
+        raise InvalidStateError(f"state shows {value} minutes, outside the {scheme.cycle_minutes}-minute "
+                                f"cycle of scheme {scheme.name!r}")
     time = _new(TimeOfDay)
     _set_minutes(time, total)  # an int in [0, 1440): TimeOfDay's own check would pass
     return time
@@ -319,43 +325,30 @@ def _check_meridiem(scheme: RowScheme, meridiem: Meridiem | None) -> None:
         raise InvalidStateError(f"scheme {scheme.name!r} does not use an AM/PM flag")
 
 
-class Violation(_Record):
-    """One broken scheme rule. ``row`` is 1-based where applicable."""
-
-    __slots__ = ("kind", "row", "message")
-
-    def __init__(self, kind: str, row: int | None, message: str):
-        _set(self, "kind", kind)  # "capacity": RowScheme enforces every other rule
-        _set(self, "row", row)
-        _set(self, "message", message)
-
-
 class ValidationReport(_Record):
-    __slots__ = ("violations",)
+    """Whether a scheme's capacity, in minutes, covers its cycle."""
 
-    def __init__(self, violations: tuple[Violation, ...]):
-        _set(self, "violations", violations)
+    __slots__ = ("capacity_minutes", "cycle_minutes")
+
+    def __init__(self, capacity_minutes: int, cycle_minutes: int):
+        _set(self, "capacity_minutes", capacity_minutes)
+        _set(self, "cycle_minutes", cycle_minutes)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.capacity_minutes >= self.cycle_minutes
 
     def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(v.message for v in self.violations)
+        cap, cycle = self.capacity_minutes, self.cycle_minutes
+        return "ok" if self.ok else f"capacity shortfall: scheme covers {cap} minutes but the cycle is {cycle}"
 
 
 def validate(scheme: RowScheme) -> ValidationReport:
     """Report whether the scheme's capacity covers its cycle.
 
     That is the one rule a built scheme can break: :class:`RowScheme`
-    enforces the unit recurrence. Violations are data, not exceptions:
+    enforces the unit recurrence. A shortfall is data, not an exception:
     callers that need a hard failure (catalog loading, scheme construction
     helpers) raise on a non-ok report themselves.
     """
-    cap_minutes = capacity(scheme) * scheme.base_unit_minutes
-    if cap_minutes >= scheme.cycle_minutes:
-        return ValidationReport(())
-    message = f"capacity shortfall: scheme covers {cap_minutes} minutes but the cycle is {scheme.cycle_minutes}"
-    return ValidationReport((Violation("capacity", None, message),))
+    return ValidationReport(capacity(scheme) * scheme.base_unit_minutes, scheme.cycle_minutes)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .codec import (_AM, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
+from .codec import (_AM, _PM, HALF_DAY, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
                     _check_meridiem, _check_state, _Record, _set, _state, decode_minutes)
 from .errors import BitsParseError, MonotoneFillError, RenderError
 
@@ -89,7 +89,9 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
 
     minutes = decode_minutes(state, scheme)
     meridiem = f'"{state.meridiem.value}"' if state.meridiem else "null"
-    time = f'"{minutes // 60:02d}:{minutes % 60:02d}"' if minutes < MINUTES_PER_DAY else "null"  # surplus
+    value = minutes - HALF_DAY if state.meridiem is _PM else minutes  # before the PM offset
+    shown = minutes < MINUTES_PER_DAY and value < scheme.cycle_minutes  # a surplus state, as decode has it
+    time = f'"{minutes // 60:02d}:{minutes % 60:02d}"' if shown else "null"
     return (f'{{"scheme": {quote(scheme.name)}, "digits": [{", ".join(map(str, state.digits))}], '
             f'"meridiem": {meridiem}, "time": {time}}}')
 

@@ -43,15 +43,6 @@ class ShapeClass(Enum):
     IRREGULAR = "IRREGULAR"
 
 
-def classify(lamp_counts: tuple[int, ...]) -> ShapeClass:
-    """Geometry of a row layout: triangle, rectangle, or neither."""
-    if lamp_counts == tuple(range(1, len(lamp_counts) + 1)):
-        return ShapeClass.TRIANGULAR
-    if len(lamp_counts) >= 2 and len(set(lamp_counts)) == 1:
-        return ShapeClass.RECTANGULAR
-    return ShapeClass.IRREGULAR
-
-
 class SchemeShape(_Record):
     """A row layout by lamp counts (top first) and its geometry."""
 
@@ -61,14 +52,6 @@ class SchemeShape(_Record):
         _set_lamp_counts(self, lamp_counts)
         _set_classification(self, classification)
         _set_total_lamps(self, total_lamps)
-
-    @classmethod
-    def from_lamp_counts(cls, lamp_counts: tuple[int, ...]) -> "SchemeShape":
-        return cls(lamp_counts, classify(lamp_counts), sum(lamp_counts))
-
-    @property
-    def state_count(self) -> int:
-        return prod(c + 1 for c in self.lamp_counts)
 
 
 # The slots' own setters: one call each, where object.__setattr__ looks the name up on every shape

@@ -86,13 +86,27 @@ def lucas_proves_prime(n: int, primes_of_n_minus_1: list[int]) -> bool:
     return False
 
 
-def json_render(name: str, digits: tuple[int, ...], meridiem: str | None, minutes: int) -> str:
+def shape_class(lamp_counts: tuple[int, ...]) -> str:
+    """The geometry of a layout by its definition: a triangle has rows of
+    1, 2, ..., n lamps, a rectangle two or more rows of one length, and any
+    other layout is irregular."""
+    if list(lamp_counts) == list(range(1, len(lamp_counts) + 1)):
+        return "TRIANGULAR"
+    if len(lamp_counts) >= 2 and min(lamp_counts) == max(lamp_counts):
+        return "RECTANGULAR"
+    return "IRREGULAR"
+
+
+def json_render(name: str, digits: tuple[int, ...], meridiem: str | None, minutes: int,
+                cycle: int = 1440) -> str:
     """The JSON render of a state as ``json.dumps`` writes it with its default
-    settings: ``minutes`` is the state's value, and one past the end of the
-    day has a null time."""
+    settings: ``minutes`` is the state's value, PM offset included. One past
+    the end of the day, or whose lamps show a value outside the ``cycle``, has
+    a null time."""
+    shown = minutes - 720 if meridiem == "PM" else minutes
     return json.dumps({
         "scheme": name,
         "digits": list(digits),
         "meridiem": meridiem,
-        "time": f"{minutes // 60:02d}:{minutes % 60:02d}" if minutes < 1440 else None,
+        "time": f"{minutes // 60:02d}:{minutes % 60:02d}" if minutes < 1440 and shown < cycle else None,
     })

@@ -182,6 +182,22 @@ class TestDecode:
     def test_width_mismatch(self, capsys):
         assert main(["decode", "0/11/100", "--am"]) == EXIT_INPUT
 
+    # Four rows of 5 lamps, 1296 states: all on would read 21:35 on a 12-hour face, and
+    # 5/1/0/0 would read 18:36 on a 1000-minute one
+    @pytest.mark.parametrize("cycle, argv, err", [
+        (720, ["11111/11111/11111/11111", "--am"],
+         "error: state shows 1295 minutes, outside the 720-minute cycle of scheme 'x'\n"),
+        (720, ["11111/11111/11111/11111", "--pm"],
+         "error: state decodes to 2015 minutes, past the end of the day\n"),
+        (1000, ["11111/10000/00000/00000"],
+         "error: state shows 1116 minutes, outside the 1000-minute cycle of scheme 'x'\n"),
+    ])
+    def test_state_outside_the_cycle_is_input_error(self, tmp_path, capsys, cycle, argv, err):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"name": "x", "cycle_minutes": cycle, "rows": [{"lamps": 5}] * 4}))
+        assert main(["decode", "--scheme", str(path), *argv]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", err)
+
 
 class TestSchemes:
     def test_triangular_720(self, capsys):
@@ -250,6 +266,13 @@ class TestValidate:
         path.write_text('{"name": "bad", "cycle_minutes": 720, "rows": [{"lamps": 2}]}')
         assert main(["validate", str(path)]) == EXIT_SCHEME
         assert "capacity" in capsys.readouterr().err
+
+    def test_shortfall_stderr_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text('{"name": "short", "cycle_minutes": 720, "rows": [{"lamps": 1}, {"lamps": 2}]}')
+        assert main(["validate", str(path)]) == EXIT_SCHEME
+        assert capsys.readouterr() == ("", "error: scheme 'short' is invalid:\n"
+                                           "capacity shortfall: scheme covers 6 minutes but the cycle is 720\n")
 
     @pytest.mark.parametrize("command", [["validate"], ["show", "--format", "svg", "--scheme"]])
     def test_billion_lamp_row_is_a_scheme_error(self, tmp_path, capsys, command):

@@ -18,6 +18,7 @@ from lampclock import (
     RowScheme,
     RowSpec,
     TimeOfDay,
+    ValidationReport,
     capacity,
     decode,
     decode_minutes,
@@ -252,8 +253,58 @@ def test_berlin_surplus_states_are_not_times():
     # state reads 24:59 and cannot be a TimeOfDay
     all_on = DisplayState((4, 4, 11, 4))
     assert decode_minutes(all_on, BERLIN) == 1499
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidStateError, match="^state decodes to 1499 minutes, past the end of the day$"):
         decode(all_on, BERLIN)
+
+
+class TestDecodeOutsideTheCycle:
+    """A face whose capacity exceeds its cycle shows surplus states, which encode never shows."""
+
+    def test_state_past_a_12_hour_cycle(self):
+        scheme = make_scheme("x", [5, 5, 5, 5], 720)  # 1296 states on a 720-minute cycle
+        all_on = DisplayState((5, 5, 5, 5), Meridiem.AM)
+        assert decode_minutes(all_on, scheme) == 1295  # 21:35, no morning time
+        with pytest.raises(InvalidStateError) as info:
+            decode(all_on, scheme)
+        assert str(info.value) == "state shows 1295 minutes, outside the 720-minute cycle of scheme 'x'"
+        with pytest.raises(InvalidStateError) as info:  # past the day too: that message comes first
+            decode(DisplayState((5, 5, 5, 5), Meridiem.PM), scheme)
+        assert str(info.value) == "state decodes to 2015 minutes, past the end of the day"
+
+    def test_state_past_a_1000_minute_cycle(self):
+        scheme = make_scheme("x", [5, 5, 5, 5], 1000)
+        state = DisplayState((5, 1, 0, 0))  # 5 * 216 + 36 == 1116, 18:36
+        with pytest.raises(ValueError, match="outside the 1000-minute cycle"):
+            encode(TimeOfDay(1116), scheme)
+        with pytest.raises(InvalidStateError, match="^state shows 1116 minutes, outside the 1000-minute cycle"):
+            decode(state, scheme)
+        assert decode_minutes(state, scheme) == 1116  # which stays permissive
+        assert decode(DisplayState((4, 3, 4, 3)), scheme) == TimeOfDay(999)  # the cycle's last minute
+
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+           st.sampled_from([1, 2, 7, 60]), st.data())
+    def test_decode_accepts_exactly_the_states_encode_shows(self, lamps, base_unit, data):
+        cap = math.prod(c + 1 for c in lamps) * base_unit  # any cycle up to the capacity is valid
+        faces = st.sampled_from([c for c in (720, 1440, cap) if c <= cap])
+        cycle = data.draw(faces | st.integers(1, min(cap, 2000)))
+        scheme = make_scheme("s", lamps, cycle, base_unit)
+        shown = set()
+        for minutes in range(1440):
+            try:
+                shown.add(encode(TimeOfDay(minutes), scheme))
+            except ValueError:  # outside the cycle
+                pass
+        accepted = set()
+        for digits in product(*(range(c + 1) for c in lamps)):
+            for meridiem in ((Meridiem.AM, Meridiem.PM) if cycle == 720 else (None,)):
+                state = DisplayState(digits, meridiem)
+                try:
+                    time = decode(state, scheme)
+                except InvalidStateError:
+                    continue
+                assert encode(time, scheme) == state
+                accepted.add(state)
+        assert accepted == shown
 
 
 def test_all_on_is_capacity_minus_one():
@@ -293,8 +344,8 @@ class TestValidate:
             "short", (RowSpec(1, 3), RowSpec(2, 1)), cycle_minutes=720
         )
         report = validate(scheme)
-        assert [v.kind for v in report.violations] == ["capacity"]
-        assert "720" in report.violations[0].message
+        assert report == ValidationReport(capacity_minutes=6, cycle_minutes=720) and not report.ok
+        assert str(report) == "capacity shortfall: scheme covers 6 minutes but the cycle is 720"
 
     def test_non_unit_bottom_row_rejected_at_construction(self):
         with pytest.raises(InvalidSchemeError, match=r"^scheme 'scaled': .* give \[3, 1\]$"):
@@ -304,8 +355,8 @@ class TestValidate:
     def test_construction_owns_the_recurrence(self, counts, cycle, data):
         rows = [RowSpec(lamps, unit) for lamps, unit in zip(counts, derive_units(counts))]
         scheme = RowScheme("s", rows, cycle)
-        short = capacity(scheme) < cycle
-        assert [v.kind for v in validate(scheme).violations] == ["capacity"] * short
+        assert validate(scheme) == ValidationReport(capacity(scheme), cycle)
+        assert validate(scheme).ok == (capacity(scheme) >= cycle)
         k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
         unit = data.draw(st.integers(min_value=1).filter(lambda u: u != rows[k].unit_value))
         rows[k] = RowSpec(rows[k].lamp_count, unit)
@@ -314,7 +365,11 @@ class TestValidate:
 
     def test_surplus_capacity_is_legal(self):
         assert capacity(BERLIN) == 1500 > BERLIN.cycle_minutes
-        assert validate(BERLIN).ok
+        assert validate(BERLIN).ok and str(validate(BERLIN)) == "ok"
+
+    def test_capacity_counts_base_units_in_minutes(self):
+        scheme = make_scheme("hourly", [3, 5], 1440, base_unit_minutes=60)
+        assert validate(scheme) == ValidationReport(1440, 1440) and validate(scheme).ok
 
 
 class TestConstruction:

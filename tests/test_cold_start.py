@@ -3,6 +3,7 @@ because pytest itself has already imported ``dataclasses``, ``json``,
 ``datetime`` and ``pathlib``."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -81,10 +82,10 @@ PUBLIC_NAMES = [
     "EnumerationCapError", "InvalidSchemeError", "InvalidStateError", "Layout", "Meridiem",
     "MonotoneFillError", "RenderError", "RenderFormat", "RenderSpec", "RowScheme", "RowSpec",
     "SchemeShape", "ScriptedTimeSource", "ShapeClass", "SystemTimeSource", "TimeOfDay",
-    "TimeSource", "TRIANGULAR", "ValidationReport", "Violation", "capacity", "classify",
-    "count_shapes", "decode", "decode_minutes", "derive_units", "encode", "enumerate_shapes",
-    "is_triangular_feasible", "load_scheme", "make_scheme", "parse_bits", "render",
-    "resolve_scheme", "shape_to_scheme", "validate",
+    "TimeSource", "TRIANGULAR", "ValidationReport", "capacity", "count_shapes", "decode",
+    "decode_minutes", "derive_units", "encode", "enumerate_shapes", "is_triangular_feasible",
+    "load_scheme", "make_scheme", "parse_bits", "render", "resolve_scheme", "shape_to_scheme",
+    "validate",
 ]
 
 
@@ -106,6 +107,19 @@ def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lampclock.no_such_name
     assert not hasattr(lampclock, "MAX_TARGET")
+
+
+# validate's one rule needs one record, and no code uses the shape helpers that only tests called
+@pytest.mark.parametrize("module, owner, name", [
+    ("lampclock", None, "Violation"), ("lampclock.codec", None, "Violation"),
+    ("lampclock", None, "classify"), ("lampclock.schemes", None, "classify"),
+    ("lampclock.schemes", "SchemeShape", "from_lamp_counts"), ("lampclock.schemes", "SchemeShape", "state_count"),
+])
+def test_removed_names_stay_gone(module, owner, name):
+    found = importlib.import_module(module)
+    if owner:
+        found = getattr(found, owner)
+    assert not hasattr(found, name)
 
 
 def test_readme_library_example_runs():

@@ -1,4 +1,4 @@
-"""Value semantics of the eight record types: equality, hashing, repr,
+"""Value semantics of the seven record types: equality, hashing, repr,
 immutability, pickling, copying and construction checks."""
 
 import copy
@@ -19,11 +19,8 @@ from lampclock import (
     ShapeClass,
     TimeOfDay,
     ValidationReport,
-    Violation,
     make_scheme,
 )
-
-SHORT = Violation("capacity", None, "short")
 
 # (value, an equal value built afresh, a value differing in one field,
 #  the plain tuple of its fields, its exact repr)
@@ -49,15 +46,10 @@ CASES = {
         ((0, 2, 1, 3, 1), Meridiem.AM),
         "DisplayState(digits=(0, 2, 1, 3, 1), meridiem=<Meridiem.AM: 'AM'>)",
     ),
-    "Violation": (
-        SHORT, Violation(kind="capacity", row=None, message="short"), Violation("capacity", 1, "short"),
-        ("capacity", None, "short"), "Violation(kind='capacity', row=None, message='short')",
-    ),
     "ValidationReport": (
-        ValidationReport((SHORT,)), ValidationReport(violations=(Violation("capacity", None, "short"),)),
-        ValidationReport(()),
-        ((SHORT,),),
-        "ValidationReport(violations=(Violation(kind='capacity', row=None, message='short'),))",
+        ValidationReport(6, 720), ValidationReport(capacity_minutes=6, cycle_minutes=720),
+        ValidationReport(6, 6),
+        (6, 720), "ValidationReport(capacity_minutes=6, cycle_minutes=720)",
     ),
     "RenderSpec": (
         RenderSpec(), RenderSpec(RenderFormat.ANSI, Layout.TRIANGLE_CENTERED, True),
@@ -67,8 +59,9 @@ CASES = {
         "use_color=True)",
     ),
     "SchemeShape": (
-        SchemeShape.from_lamp_counts((2, 1)), SchemeShape((2, 1), ShapeClass.IRREGULAR, 3),
-        SchemeShape.from_lamp_counts((1, 2)),
+        SchemeShape((2, 1), ShapeClass.IRREGULAR, 3),
+        SchemeShape(lamp_counts=(2, 1), classification=ShapeClass.IRREGULAR, total_lamps=3),
+        SchemeShape((1, 2), ShapeClass.IRREGULAR, 3),
         ((2, 1), ShapeClass.IRREGULAR, 3),
         "SchemeShape(lamp_counts=(2, 1), classification=<ShapeClass.IRREGULAR: 'IRREGULAR'>, "
         "total_lamps=3)",
@@ -76,7 +69,7 @@ CASES = {
 }
 NAMES = sorted(CASES)
 FIELD = {"RowSpec": "unit_value", "RowScheme": "rows", "TimeOfDay": "minutes_since_midnight",
-         "DisplayState": "digits", "Violation": "message", "ValidationReport": "violations",
+         "DisplayState": "digits", "ValidationReport": "capacity_minutes",
          "RenderSpec": "layout", "SchemeShape": "lamp_counts"}
 
 
@@ -223,9 +216,9 @@ class TestConstructors:
         assert spec.layout is Layout.TRIANGLE_CENTERED and spec.use_color is True
 
     def test_plain_records_keep_their_arguments(self):
-        report = ValidationReport((SHORT,))
-        assert report.violations == (SHORT,) and not report.ok
-        assert ValidationReport(()).ok and str(ValidationReport(())) == "ok"
-        assert (SHORT.kind, SHORT.row, SHORT.message) == CASES["Violation"][3]
-        shape = SchemeShape.from_lamp_counts((2, 1))
-        assert (shape.lamp_counts, shape.total_lamps, shape.state_count) == ((2, 1), 3, 6)
+        report = ValidationReport(6, 720)
+        assert (report.capacity_minutes, report.cycle_minutes) == (6, 720) and not report.ok
+        assert ValidationReport(720, 720).ok and str(ValidationReport(1500, 1440)) == "ok"
+        assert str(report) == "capacity shortfall: scheme covers 6 minutes but the cycle is 720"
+        shape = SchemeShape((2, 1), ShapeClass.IRREGULAR, 3)
+        assert (shape.lamp_counts, shape.classification, shape.total_lamps) == ((2, 1), ShapeClass.IRREGULAR, 3)

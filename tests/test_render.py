@@ -260,14 +260,24 @@ class TestJson:
         last = DisplayState((4, 3, 11, 4))  # 23:59, the last minute of the day
         assert json.loads(render(last, BERLIN, RenderSpec(format=RenderFormat.JSON)))["time"] == "23:59"
 
+    def test_state_outside_a_12_hour_cycle_has_a_null_time(self):
+        # a 12-hour face of 1296 states: its all-on AM state reads 21:35, which is no morning time
+        scheme = make_scheme("x", [5, 5, 5, 5], 720)
+        text = render(DisplayState((5, 5, 5, 5), Meridiem.AM), scheme, RenderSpec(format=RenderFormat.JSON))
+        assert text == '{"scheme": "x", "digits": [5, 5, 5, 5], "meridiem": "AM", "time": null}'
+        last = DisplayState((3, 1, 5, 5), Meridiem.AM)  # 3 * 216 + 36 + 30 + 5 == 719, 11:59
+        assert json.loads(render(last, scheme, RenderSpec(format=RenderFormat.JSON)))["time"] == "11:59"
+
 
 # names that JSON must escape: a quote, a backslash, control characters and non-ASCII text
 @pytest.mark.parametrize("name", ['say "hi"', "back\\slash", "tab\there", "new\nline", "nul\x00",
                                   "café", "grin \U0001F600"], ids=repr)
 def test_json_bytes_match_json_dumps(name):
-    # every state of a 12-hour triangle (AM and PM) and of a 24-hour Berlin face, surplus included
+    # every state of a 12-hour triangle (AM and PM), of a 24-hour Berlin face and of a
+    # 12-hour face of 1296 states, surplus included
     spec = RenderSpec(format=RenderFormat.JSON)
-    faces = [((1, 2, 3, 4, 5), 720, (360, 120, 30, 6, 1)), ((4, 4, 11, 4), 1440, (300, 60, 5, 1))]
+    faces = [((1, 2, 3, 4, 5), 720, (360, 120, 30, 6, 1)), ((4, 4, 11, 4), 1440, (300, 60, 5, 1)),
+             ((5, 5, 5, 5), 720, (216, 36, 6, 1))]
     surplus = 0
     for lamps, cycle, units in faces:
         scheme = make_scheme(name, lamps, cycle)
@@ -275,9 +285,10 @@ def test_json_bytes_match_json_dumps(name):
             value = sum(d * u for d, u in zip(digits, units))
             for meridiem, offset in ((("AM", 0), ("PM", 720)) if cycle == 720 else ((None, 0),)):
                 state = DisplayState(digits, meridiem and Meridiem(meridiem))
-                assert render(state, scheme, spec) == json_render(name, digits, meridiem, value + offset)
-            surplus += value >= 1440
-    assert surplus == 60  # berlin shows 24:00 to 24:59, whose time is null
+                expected = json_render(name, digits, meridiem, value + offset, cycle)
+                assert render(state, scheme, spec) == expected
+            surplus += value >= cycle
+    assert surplus == 60 + 576  # berlin shows 24:00 to 24:59, the 1296-state face 12:00 to 21:35
 
 
 class TestSvg:

@@ -13,7 +13,6 @@ from lampclock import (
     InvalidSchemeError,
     SchemeShape,
     ShapeClass,
-    classify,
     count_shapes,
     enumerate_shapes,
     is_triangular_feasible,
@@ -23,21 +22,33 @@ from lampclock import (
 import lampclock.schemes as schemes
 from lampclock.schemes import _factorize, _is_prime
 from oracles import (is_prime, lucas_proves_prime, ordered_factorization_count, ordered_factorizations,
-                     prime_sieve)
+                     prime_sieve, shape_class)
 
 
-class TestClassify:
+def enumerated_shape(counts):
+    """The shape that ``enumerate_shapes`` lists for this layout, among those of its state count."""
+    [shape] = [s for s in enumerate_shapes(math.prod(c + 1 for c in counts)) if s.lamp_counts == counts]
+    return shape
+
+
+class TestShapeClasses:
+    # (1,) from 2 states, (1, 2) from 6 and (1, 2, 3, 4, 5) from 720
     @pytest.mark.parametrize("counts", [(1,), (1, 2), (1, 2, 3, 4, 5)])
     def test_triangular(self, counts):
-        assert classify(counts) is ShapeClass.TRIANGULAR
+        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.TRIANGULAR, sum(counts))
+        assert shape_class(counts) == "TRIANGULAR"
 
+    # (1, 1) from 4 states, (4, 4, 4) from 125 and (2, 2) from 9
     @pytest.mark.parametrize("counts", [(1, 1), (4, 4, 4), (2, 2)])
     def test_rectangular(self, counts):
-        assert classify(counts) is ShapeClass.RECTANGULAR
+        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.RECTANGULAR, sum(counts))
+        assert shape_class(counts) == "RECTANGULAR"
 
+    # (5,) and (2, 1) from 6 states, (4, 4, 11, 4) from 1500 and (1, 2, 4) from 30
     @pytest.mark.parametrize("counts", [(5,), (2, 1), (4, 4, 11, 4), (1, 2, 4)])
     def test_irregular(self, counts):
-        assert classify(counts) is ShapeClass.IRREGULAR
+        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.IRREGULAR, sum(counts))
+        assert shape_class(counts) == "IRREGULAR"
 
 
 class TestEnumerateShapes:
@@ -165,9 +176,9 @@ class TestEnumerateShapes:
     @example(4096)
     @example(5040)
     @example(65536)  # a rectangle at index 0 of a long list
-    def test_classification_matches_classify(self, n):
+    def test_classification_matches_oracle(self, n):
         for shape in enumerate_shapes(n):
-            assert shape.classification is classify(shape.lamp_counts)
+            assert shape.classification.value == shape_class(shape.lamp_counts)
             assert shape.total_lamps == sum(shape.lamp_counts)
 
     # 65536 == 2**16: 32,768 layouts, the four rectangles at 0, 21845, 30583 and 32639
@@ -212,7 +223,6 @@ class TestEnumerateShapes:
     def test_products_hit_target_exactly(self, n):
         for shape in enumerate_shapes(n):
             assert math.prod(c + 1 for c in shape.lamp_counts) == n
-            assert shape.state_count == n
             assert shape.total_lamps == sum(shape.lamp_counts)
 
     @given(st.integers(min_value=2, max_value=2520))
@@ -307,21 +317,21 @@ class TestTriangularFeasibility:
 
 class TestShapeToScheme:
     def test_realizes_builtin_triangular(self):
-        shape = SchemeShape.from_lamp_counts((1, 2, 3, 4, 5))
+        shape = SchemeShape((1, 2, 3, 4, 5), ShapeClass.TRIANGULAR, 15)
         scheme = shape_to_scheme(shape, 1, 720, name="triangular")
         assert scheme == TRIANGULAR
 
     def test_realizes_builtin_berlin(self):
-        shape = SchemeShape.from_lamp_counts((4, 4, 11, 4))
+        shape = SchemeShape((4, 4, 11, 4), ShapeClass.IRREGULAR, 23)
         scheme = shape_to_scheme(shape, 1, 1440, name="berlin")
         assert scheme == BERLIN
 
     def test_capacity_shortfall_rejected(self):
         with pytest.raises(InvalidSchemeError):
-            shape_to_scheme(SchemeShape.from_lamp_counts((1,)), 1, 720)
+            shape_to_scheme(SchemeShape((1,), ShapeClass.TRIANGULAR, 1), 1, 720)
 
     def test_generated_name(self):
-        scheme = shape_to_scheme(SchemeShape.from_lamp_counts((2, 1)), 1, 6)
+        scheme = shape_to_scheme(SchemeShape((2, 1), ShapeClass.IRREGULAR, 3), 1, 6)
         assert scheme.name == "rows-2-1"
 
     def test_all_enumerated_shapes_validate(self):
