@@ -14,7 +14,6 @@ from .codec import (
     ValidationReport,
     capacity,
     decode,
-    decode_minutes,
     derive_units,
     encode,
     validate,
@@ -75,7 +74,6 @@ __all__ = [
     "capacity",
     "count_shapes",
     "decode",
-    "decode_minutes",
     "derive_units",
     "encode",
     "enumerate_shapes",

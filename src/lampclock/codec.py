@@ -172,8 +172,8 @@ class TimeOfDay(_Record):
     def minute(self) -> int:
         return self.minutes_since_midnight % 60
 
-    def __str__(self) -> str:
-        return f"{self.hour:02d}:{self.minute:02d}"
+    def __str__(self) -> str:  # HH:MM, the JSON render's time too: one read of the minutes, no properties
+        return "%02d:%02d" % divmod(self.minutes_since_midnight, 60)
 
 
 class DisplayState(_Record):
@@ -276,21 +276,10 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
     return _state(tuple(digits), meridiem)
 
 
-def decode_minutes(state: DisplayState, scheme: RowScheme) -> int:
-    """Weighted digit sum in minutes, including any PM offset.
-
-    Unlike :func:`decode` this does not require the value to be a real
-    time of day inside the cycle, so surplus states of an over-capacity
-    scheme (the Berlin layout can show up to 1499) still decode to their
-    numeric value.
-    """
-    units = _check_state(state, scheme)
-    return units * scheme.base_unit_minutes + (HALF_DAY if state.meridiem is _PM else 0)
-
-
 def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
     """Sum the lit lamps back into a time of day. A surplus state, whose value before any PM
-    offset lies outside the scheme's cycle, raises ``InvalidStateError``, as encode never shows it."""
+    offset lies outside the scheme's cycle, raises ``InvalidStateError``, as encode never shows it;
+    the JSON render reads the time through here too, and gives such a state a null time."""
     value = _check_state(state, scheme) * scheme.base_unit_minutes
     total = value + HALF_DAY if state.meridiem is _PM else value
     if total >= MINUTES_PER_DAY:

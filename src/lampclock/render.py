@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .codec import (_AM, _PM, HALF_DAY, MINUTES_PER_DAY, DisplayState, Meridiem, RowScheme,
-                    _check_meridiem, _check_state, _Record, _set, _state, decode_minutes)
-from .errors import BitsParseError, MonotoneFillError, RenderError
+from .codec import (_AM, DisplayState, Meridiem, RowScheme, _check_meridiem, _check_state, _Record, _set, _state,
+                    decode)
+from .errors import BitsParseError, InvalidStateError, MonotoneFillError, RenderError
 
 
 class RenderFormat(Enum):
@@ -64,7 +64,7 @@ def default_layout(scheme: RowScheme) -> Layout:
 def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     """Serialize a state in the format chosen by ``spec``."""
     if spec.format is RenderFormat.JSON:
-        return _render_json(state, scheme)  # which checks the state as it decodes it
+        return _render_json(state, scheme)  # whose call to decode checks the state
     _check_state(state, scheme)
     if spec.format is RenderFormat.BITS:
         return _render_bits(state, scheme)
@@ -86,12 +86,13 @@ def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
 
 def _render_json(state: DisplayState, scheme: RowScheme) -> str:
     from json.encoder import encode_basestring_ascii as quote  # json.dumps's escaper, loaded only for JSON
-
-    minutes = decode_minutes(state, scheme)
+    try:
+        time = f'"{decode(state, scheme)}"'
+    except InvalidStateError:  # a surplus state, which is no time, or one that does not fit its scheme
+        time = "null"
+    if time == "null":  # outside the except, so that a state that does not fit raises decode's error alone
+        _check_state(state, scheme)
     meridiem = f'"{state.meridiem.value}"' if state.meridiem else "null"
-    value = minutes - HALF_DAY if state.meridiem is _PM else minutes  # before the PM offset
-    shown = minutes < MINUTES_PER_DAY and value < scheme.cycle_minutes  # a surplus state, as decode has it
-    time = f'"{minutes // 60:02d}:{minutes % 60:02d}"' if shown else "null"
     return (f'{{"scheme": {quote(scheme.name)}, "digits": [{", ".join(map(str, state.digits))}], '
             f'"meridiem": {meridiem}, "time": {time}}}')
 

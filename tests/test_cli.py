@@ -48,8 +48,11 @@ def case_id(argv):
     return " ".join(argv)
 
 
+PARSER = build_parser()  # built once: parse_args leaves a parser as it found it
+
+
 def parse(*argv):
-    return build_parser().parse_args(argv)
+    return PARSER.parse_args(argv)
 
 
 def bits_args(command="show", scheme="triangular", time=None):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from itertools import product
@@ -21,7 +22,6 @@ from lampclock import (
     ValidationReport,
     capacity,
     decode,
-    decode_minutes,
     derive_units,
     encode,
     make_scheme,
@@ -29,6 +29,8 @@ from lampclock import (
     validate,
 )
 from strategies import lamp_count_lists, scheme_and_time, valid_schemes
+
+JSON = RenderSpec(format=RenderFormat.JSON)
 
 
 class TestTimeOfDay:
@@ -172,7 +174,8 @@ class TestEncode:
                 assert shown >= cycle or shown // base_unit >= capacity(scheme)
                 continue
             render(state, scheme, bits)  # raises InvalidStateError for a state the face cannot show
-            assert decode_minutes(state, scheme) == minutes - shown + shown // base_unit * base_unit
+            time = decode(state, scheme)  # which raises for a surplus state: encode shows none
+            assert time.minutes_since_midnight == minutes - shown + shown // base_unit * base_unit
 
     def test_sub_unit_remainder_truncates(self):
         coarse = make_scheme("coarse", [4, 4, 11], cycle_minutes=1440, base_unit_minutes=5)
@@ -239,22 +242,30 @@ def test_round_trip_every_minute(scheme):
 
 @pytest.mark.parametrize("scheme", [TRIANGULAR, BERLIN], ids=lambda s: s.name)
 def test_decode_injective_over_all_states(scheme):
+    # the weighted digit sums number the states 0 to capacity - 1; decode reads every sum inside
+    # the cycle off its own state, and refuses the rest (Berlin's 60 surplus states)
     ranges = [range(row.lamp_count + 1) for row in scheme.rows]
     meridiem = Meridiem.AM if scheme.has_meridiem else None
-    seen = {
-        decode_minutes(DisplayState(digits, meridiem), scheme)
-        for digits in product(*ranges)
-    }
-    assert seen == set(range(capacity(scheme)))
+    sums, times = [], []
+    for digits in product(*ranges):
+        state = DisplayState(digits, meridiem)
+        sums.append(sum(digit * row.unit_value for digit, row in zip(digits, scheme.rows)))
+        if sums[-1] < scheme.cycle_minutes:
+            times.append(decode(state, scheme).minutes_since_midnight)
+        else:
+            with pytest.raises(InvalidStateError):
+                decode(state, scheme)
+    assert sorted(sums) == list(range(capacity(scheme)))
+    assert sorted(times) == list(range(scheme.cycle_minutes))
 
 
 def test_berlin_surplus_states_are_not_times():
     # 1500 displayable states but only 1440 minutes in a day: the all-on
     # state reads 24:59 and cannot be a TimeOfDay
     all_on = DisplayState((4, 4, 11, 4))
-    assert decode_minutes(all_on, BERLIN) == 1499
     with pytest.raises(InvalidStateError, match="^state decodes to 1499 minutes, past the end of the day$"):
         decode(all_on, BERLIN)
+    assert json.loads(render(all_on, BERLIN, JSON))["time"] is None
 
 
 class TestDecodeOutsideTheCycle:
@@ -262,11 +273,11 @@ class TestDecodeOutsideTheCycle:
 
     def test_state_past_a_12_hour_cycle(self):
         scheme = make_scheme("x", [5, 5, 5, 5], 720)  # 1296 states on a 720-minute cycle
-        all_on = DisplayState((5, 5, 5, 5), Meridiem.AM)
-        assert decode_minutes(all_on, scheme) == 1295  # 21:35, no morning time
+        all_on = DisplayState((5, 5, 5, 5), Meridiem.AM)  # 21:35, no morning time
         with pytest.raises(InvalidStateError) as info:
             decode(all_on, scheme)
         assert str(info.value) == "state shows 1295 minutes, outside the 720-minute cycle of scheme 'x'"
+        assert json.loads(render(all_on, scheme, JSON))["time"] is None
         with pytest.raises(InvalidStateError) as info:  # past the day too: that message comes first
             decode(DisplayState((5, 5, 5, 5), Meridiem.PM), scheme)
         assert str(info.value) == "state decodes to 2015 minutes, past the end of the day"
@@ -278,7 +289,7 @@ class TestDecodeOutsideTheCycle:
             encode(TimeOfDay(1116), scheme)
         with pytest.raises(InvalidStateError, match="^state shows 1116 minutes, outside the 1000-minute cycle"):
             decode(state, scheme)
-        assert decode_minutes(state, scheme) == 1116  # which stays permissive
+        assert json.loads(render(state, scheme, JSON))["time"] is None
         assert decode(DisplayState((4, 3, 4, 3)), scheme) == TimeOfDay(999)  # the cycle's last minute
 
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
@@ -315,9 +326,14 @@ def test_all_on_is_capacity_minus_one():
 
 @given(valid_schemes())
 def test_all_on_sum_property(scheme):
-    meridiem = Meridiem.AM if scheme.has_meridiem else None
-    total = decode_minutes(DisplayState(scheme.lamp_counts, meridiem), scheme)
+    all_on = DisplayState(scheme.lamp_counts, Meridiem.AM if scheme.has_meridiem else None)
+    total = sum(row.lamp_count * row.unit_value for row in scheme.rows) * scheme.base_unit_minutes
     assert total == (capacity(scheme) - 1) * scheme.base_unit_minutes
+    if total < scheme.cycle_minutes:
+        assert decode(all_on, scheme).minutes_since_midnight == total
+    else:  # a surplus state, on a face of more states than its cycle has minutes
+        with pytest.raises(InvalidStateError):
+            decode(all_on, scheme)
 
 
 class TestValidate:

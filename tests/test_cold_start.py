@@ -83,7 +83,7 @@ PUBLIC_NAMES = [
     "MonotoneFillError", "RenderError", "RenderFormat", "RenderSpec", "RowScheme", "RowSpec",
     "SchemeShape", "ScriptedTimeSource", "ShapeClass", "SystemTimeSource", "TimeOfDay",
     "TimeSource", "TRIANGULAR", "ValidationReport", "capacity", "count_shapes", "decode",
-    "decode_minutes", "derive_units", "encode", "enumerate_shapes", "is_triangular_feasible",
+    "derive_units", "encode", "enumerate_shapes", "is_triangular_feasible",
     "load_scheme", "make_scheme", "parse_bits", "render", "resolve_scheme", "shape_to_scheme",
     "validate",
 ]
@@ -109,11 +109,13 @@ def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(lampclock, "MAX_TARGET")
 
 
-# validate's one rule needs one record, and no code uses the shape helpers that only tests called
+# validate's one rule needs one record, decode alone reads a state's time, and no code uses the
+# shape helpers that only tests called
 @pytest.mark.parametrize("module, owner, name", [
     ("lampclock", None, "Violation"), ("lampclock.codec", None, "Violation"),
     ("lampclock", None, "classify"), ("lampclock.schemes", None, "classify"),
     ("lampclock.schemes", "SchemeShape", "from_lamp_counts"), ("lampclock.schemes", "SchemeShape", "state_count"),
+    ("lampclock", None, "decode_minutes"), ("lampclock.codec", None, "decode_minutes"),
 ])
 def test_removed_names_stay_gone(module, owner, name):
     found = importlib.import_module(module)

@@ -62,9 +62,27 @@ class TestBits:
         state = state_at("10:31", BERLIN)
         assert render(state, BERLIN, BITS) == "1100/0000/11111100000/1000"
 
-    def test_state_checked_against_scheme(self):
-        with pytest.raises(InvalidStateError):
-            render(DisplayState((9, 0, 0, 0, 0), Meridiem.AM), TRIANGULAR, BITS)
+
+# states that do not fit their scheme: a digit over its row's lamps, a digit too many or too
+# few, a 12-hour face's missing meridiem and a meridiem on a 24-hour face
+MISFITS = [(TRIANGULAR, DisplayState((9, 0, 0, 0, 0), Meridiem.AM)),
+           (BERLIN, DisplayState((0, 0, 5, 5))),
+           (TRIANGULAR, DisplayState((0, 0, 0, 0, 0, 0), Meridiem.PM)),
+           (BERLIN, DisplayState((0, 0, 0))),
+           (TRIANGULAR, DisplayState((0, 2, 1, 3, 1))),
+           (BERLIN, DisplayState((2, 0, 6, 1), Meridiem.AM))]
+
+
+@pytest.mark.parametrize("fmt", list(RenderFormat), ids=lambda f: f.value)
+@pytest.mark.parametrize("scheme, state", MISFITS, ids=["over-full", "over-full-berlin", "too-many", "too-few",
+                                                     "no-meridiem", "meridiem"])
+def test_every_format_refuses_a_state_that_does_not_fit(fmt, scheme, state):
+    with pytest.raises(InvalidStateError) as refused:
+        decode(state, scheme)
+    with pytest.raises(InvalidStateError) as info:
+        render(state, scheme, RenderSpec(format=fmt))
+    assert type(info.value) is InvalidStateError and str(info.value) == str(refused.value)
+    assert info.value.__context__ is None  # one error, not a second raised while handling a first
 
 
 class TestParseBits:
@@ -273,22 +291,25 @@ class TestJson:
 @pytest.mark.parametrize("name", ['say "hi"', "back\\slash", "tab\there", "new\nline", "nul\x00",
                                   "café", "grin \U0001F600"], ids=repr)
 def test_json_bytes_match_json_dumps(name):
-    # every state of a 12-hour triangle (AM and PM), of a 24-hour Berlin face and of a
-    # 12-hour face of 1296 states, surplus included
+    # every state of a 12-hour triangle (AM and PM), of a 24-hour Berlin face, of a 12-hour and a
+    # 1000-minute face of 1296 states and of a 24-hour face of 432 five-minute states, surplus included
     spec = RenderSpec(format=RenderFormat.JSON)
-    faces = [((1, 2, 3, 4, 5), 720, (360, 120, 30, 6, 1)), ((4, 4, 11, 4), 1440, (300, 60, 5, 1)),
-             ((5, 5, 5, 5), 720, (216, 36, 6, 1))]
+    faces = [((1, 2, 3, 4, 5), 720, 1, (360, 120, 30, 6, 1)), ((4, 4, 11, 4), 1440, 1, (300, 60, 5, 1)),
+             ((5, 5, 5, 5), 720, 1, (216, 36, 6, 1)), ((5, 5, 5, 5), 1000, 1, (216, 36, 6, 1)),
+             ((2, 11, 11), 1440, 5, (144, 12, 1))]
     surplus = 0
-    for lamps, cycle, units in faces:
-        scheme = make_scheme(name, lamps, cycle)
+    for lamps, cycle, base_unit, units in faces:
+        scheme = make_scheme(name, lamps, cycle, base_unit)
         for digits in product(*(range(n + 1) for n in lamps)):
-            value = sum(d * u for d, u in zip(digits, units))
+            value = sum(d * u for d, u in zip(digits, units)) * base_unit
             for meridiem, offset in ((("AM", 0), ("PM", 720)) if cycle == 720 else ((None, 0),)):
                 state = DisplayState(digits, meridiem and Meridiem(meridiem))
                 expected = json_render(name, digits, meridiem, value + offset, cycle)
                 assert render(state, scheme, spec) == expected
             surplus += value >= cycle
-    assert surplus == 60 + 576  # berlin shows 24:00 to 24:59, the 1296-state face 12:00 to 21:35
+    # berlin shows 24:00 to 24:59, the 1296-state faces 12:00 to 21:35 and 16:40 to 21:35,
+    # and the five-minute face 24:00 to 35:55
+    assert surplus == 60 + 576 + 296 + 144
 
 
 class TestSvg:
