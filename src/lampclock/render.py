@@ -39,6 +39,12 @@ LIT_GLYPH, UNLIT_GLYPH = "●", "○"
 UNLIT_SVG_FILL = "#dddddd"
 SVG_PITCH = 40  # even, so that circle centres (multiples of half the pitch) are whole numbers
 
+# Module names for the hot path's enum members, by the rule stated at codec's _AM and _PM
+_ANSI, _BITS, _JSON = RenderFormat.ANSI, RenderFormat.BITS, RenderFormat.JSON
+_TRIANGLE, _LEFT, _BLOCKS = Layout.TRIANGLE_CENTERED, Layout.LEFT_ALIGNED, Layout.BERLIN_BLOCKS
+_SVG_PAINT = {c: c for c in ANSI_COLOR_CODES}  # an SVG lamp is filled with its color's name
+_quote = None  # json.dumps's escaper, bound on the first JSON render so that only JSON loads json
+
 
 class RenderSpec(_Record):
     """What a caller chooses for a render: format, layout, and color on or off."""
@@ -63,77 +69,67 @@ def default_layout(scheme: RowScheme) -> Layout:
 
 def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     """Serialize a state in the format chosen by ``spec``."""
-    if spec.format is RenderFormat.JSON:
+    fmt = spec.format
+    if fmt is _JSON:
         return _render_json(state, scheme)  # whose call to decode checks the state
     _check_state(state, scheme)
-    if spec.format is RenderFormat.BITS:
-        return _render_bits(state, scheme)
-    if spec.layout is Layout.BERLIN_BLOCKS and len(scheme.rows) != 4:
+    if fmt is _BITS:
+        return "/".join(["1" * digit + "0" * (row.lamp_count - digit)
+                         for digit, row in zip(state.digits, scheme.rows)])
+    if spec.layout is _BLOCKS and len(scheme.rows) != 4:
         raise RenderError(
             f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
         )
-    if spec.format is RenderFormat.ANSI:
-        return _render_ansi(state, scheme, spec)
-    return _render_svg(state, scheme, spec)
-
-
-def _render_bits(state: DisplayState, scheme: RowScheme) -> str:
-    return "/".join([
-        "1" * digit + "0" * (row.lamp_count - digit)
-        for digit, row in zip(state.digits, scheme.rows)
-    ])
+    return (_render_ansi if fmt is _ANSI else _render_svg)(state, scheme, spec)
 
 
 def _render_json(state: DisplayState, scheme: RowScheme) -> str:
-    from json.encoder import encode_basestring_ascii as quote  # json.dumps's escaper, loaded only for JSON
+    global _quote
+    if _quote is None:
+        from json.encoder import encode_basestring_ascii as _quote
     try:
         time = f'"{decode(state, scheme)}"'
     except InvalidStateError:  # a surplus state, which is no time, or one that does not fit its scheme
         time = "null"
     if time == "null":  # outside the except, so that a state that does not fit raises decode's error alone
         _check_state(state, scheme)
-    meridiem = f'"{state.meridiem.value}"' if state.meridiem else "null"
-    return (f'{{"scheme": {quote(scheme.name)}, "digits": [{", ".join(map(str, state.digits))}], '
+    meridiem = state.meridiem
+    meridiem = "null" if meridiem is None else '"AM"' if meridiem is _AM else '"PM"'
+    return (f'{{"scheme": {_quote(scheme.name)}, "digits": [{", ".join(map(str, state.digits))}], '
             f'"meridiem": {meridiem}, "time": {time}}}')
 
 
-def _rows(state: DisplayState, scheme: RowScheme):
-    """Yield ``(row, digit, colors)`` for every row, top row first, where
-    ``colors`` holds the color of each of the row's ``digit`` lit lamps."""
+def _lit_cells(state: DisplayState, scheme: RowScheme, paint: dict[str, str]) -> list[list[str]]:
+    """Each row's lit cells, top row first, where ``paint`` maps each lamp color to its cell."""
     meridiem = state.meridiem
-    meridiem_color = None if meridiem is None else AM_COLOR if meridiem is _AM else PM_COLOR
-    for digit, row in zip(state.digits, scheme.rows):
-        if meridiem_color:
-            colors = [meridiem_color] * digit
-        elif row.lamp_count == 11:
-            colors = [ACCENT_COLOR if i % 3 == 2 else DEFAULT_LIT_COLOR for i in range(digit)]
-        else:
-            colors = [DEFAULT_LIT_COLOR] * digit
-        yield row, digit, colors
+    if meridiem is not None:
+        cell = paint[AM_COLOR if meridiem is _AM else PM_COLOR]
+        return [[cell] * digit for digit in state.digits]
+    cell = paint[DEFAULT_LIT_COLOR]
+    accented = [cell, cell, paint[ACCENT_COLOR]] * 4  # an 11-lamp row's lit lamps are a slice of this
+    return [accented[:digit] if row.lamp_count == 11 else [cell] * digit
+            for digit, row in zip(state.digits, scheme.rows)]
 
 
 def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     max_lamps = max(row.lamp_count for row in scheme.rows)
-    blocks = spec.layout is Layout.BERLIN_BLOCKS
+    blocks = spec.layout is _BLOCKS
     left, right = ("[", "]") if blocks else ("", "")
-    lit, unlit = f"{left}{LIT_GLYPH}{right}", f"{left}{UNLIT_GLYPH}{right}"
+    unlit = f"{left}{UNLIT_GLYPH}{right}"
+    paint = ({c: f"{left}\x1b[{code}m{LIT_GLYPH}\x1b[0m{right}" for c, code in ANSI_COLOR_CODES.items()}
+             if spec.use_color else dict.fromkeys(ANSI_COLOR_CODES, f"{left}{LIT_GLYPH}{right}"))
 
-    # Center each row over the widest row (the bottom row of a triangle).
+    # Center each row over the widest row (the bottom row of a triangle),
+    # half a cell per lamp it lacks, unless the layout is left-aligned.
     # Padding is computed from lamp counts, not rendered text, so that
     # invisible ANSI escape bytes do not skew the alignment.
-    cell_width = 3 if blocks else 2
+    cell_width = 0 if spec.layout is _LEFT else 3 if blocks else 2
     joiner = "" if blocks else " "
-    if spec.use_color:  # each color's lit cell, formatted once
-        paint = {c: f"{left}\x1b[{code}m{LIT_GLYPH}\x1b[0m{right}" for c, code in ANSI_COLOR_CODES.items()}
-    rows = _rows(state, scheme) if spec.use_color else (  # without color, no row needs its lamps' colors
-        (row, digit, None) for digit, row in zip(state.digits, scheme.rows))
-    padded = []
-    for row, digit, colors in rows:
-        cells = [paint[c] for c in colors] if spec.use_color else [lit] * digit
-        cells += [unlit] * (row.lamp_count - digit)
-        pad = 0 if spec.layout is Layout.LEFT_ALIGNED else (max_lamps - row.lamp_count) * cell_width // 2
-        padded.append(" " * pad + joiner.join(cells))
-    return "\n".join(padded)
+    return "\n".join([
+        " " * ((max_lamps - row.lamp_count) * cell_width // 2)
+        + joiner.join(cells + [unlit] * (row.lamp_count - len(cells)))
+        for cells, row in zip(_lit_cells(state, scheme, paint), scheme.rows)
+    ])
 
 
 def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
@@ -141,18 +137,20 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str
     max_lamps = max(row.lamp_count for row in scheme.rows)
     width = max_lamps * pitch
     height = len(scheme.rows) * pitch
+    blocks = spec.layout is _BLOCKS
+    centered = spec.layout is _TRIANGLE
 
     shapes = []
-    for k, (row, digit, colors) in enumerate(_rows(state, scheme)):
+    for k, (fills, row) in enumerate(zip(_lit_cells(state, scheme, _SVG_PAINT), scheme.rows)):
         lamps = row.lamp_count
-        fills = colors + [UNLIT_SVG_FILL] * (lamps - digit)
+        fills += [UNLIT_SVG_FILL] * (lamps - len(fills))
         y = k * pitch
-        if spec.layout is Layout.BERLIN_BLOCKS:
+        if blocks:
             cell = width / lamps
             rest = f'" y="{y + 2}" width="{cell - 4:g}" height="{pitch - 4}" fill="'
             shapes += [f'  <rect x="{i * cell + 2:g}{rest}{fill}"/>' for i, fill in enumerate(fills)]
         else:
-            x0 = (max_lamps - lamps) * pitch // 2 if spec.layout is Layout.TRIANGLE_CENTERED else 0
+            x0 = (max_lamps - lamps) * pitch // 2 if centered else 0
             rest = f'" cy="{y + pitch // 2}" r="{pitch * 2 // 5}" fill="'
             shapes += [f'  <circle cx="{cx}{rest}{fill}"/>'
                        for cx, fill in zip(range(x0 + pitch // 2, x0 + lamps * pitch, pitch), fills)]

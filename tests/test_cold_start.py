@@ -50,13 +50,15 @@ def test_importing_the_cli_loads_none_of_the_watched_modules():
 def test_only_the_schemes_command_loads_schemes():
     loaded = probe(
         ("show", ["show", "--time", "04:49", "--format", "bits"]),
+        ("svg", ["show", "--time", "04:49", "--format", "svg"]),
+        ("ansi", ["show", "--time", "04:49", "--format", "ansi", "--color", "always"]),
         ("decode", ["decode", "0/11/100/1110/10000", "--am"]),
         ("validate", ["validate", "--scheme", "berlin"]),
         ("tick", ["tick", "--time", "04:49", "--format", "json"]),
         ("schemes", ["schemes", "12"]),
     )
     assert loaded["import"] == []
-    for name in ("show", "decode", "validate"):
+    for name in ("show", "svg", "ansi", "decode", "validate"):  # svg and ansi: only a JSON render loads json
         assert loaded[name] == [0], name
     assert loaded["tick"] == [0, "json"]  # for the JSON format
     assert loaded["schemes"] == [0, "lampclock.schemes", "json"]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import re
@@ -436,6 +437,88 @@ class TestExactBytes:
             "[\x1b[33m●\x1b[0m][\x1b[33m●\x1b[0m][\x1b[31m●\x1b[0m]"
             "[\x1b[33m●\x1b[0m][\x1b[33m●\x1b[0m][\x1b[31m●\x1b[0m]" + "[○]" * 5
         )
+
+
+# Every minute of the day on four faces, in every layout each face can draw, with and without
+# color, each combination pinned as one SHA-256 of its renders. Bits and JSON take neither a
+# layout nor a color, so each is rendered once per face.
+PINNED_FACES = {
+    "triangular": TRIANGULAR,
+    "berlin": BERLIN,
+    "w": make_scheme("w", [3, 7, 11, 5], 1440),  # fractional block cells and accents
+    "h": make_scheme("h", [2, 11, 4], 720, 4),  # an 11-lamp row on a 12-hour face
+}
+
+
+def pinned_specs(scheme):
+    layouts = [layout for layout in Layout if layout is not Layout.BERLIN_BLOCKS or len(scheme.rows) == 4]
+    for fmt, layout, use_color in product([RenderFormat.ANSI, RenderFormat.SVG], layouts, [True, False]):
+        key = f"{fmt.value} {layout.value} {'color' if use_color else 'plain'}"
+        yield key, RenderSpec(format=fmt, layout=layout, use_color=use_color)
+    yield "bits", BITS
+    yield "json", RenderSpec(format=RenderFormat.JSON)
+
+
+PINNED_RENDERS = [(f"{name} {key}", name, spec)
+                  for name, scheme in PINNED_FACES.items() for key, spec in pinned_specs(scheme)]
+
+RENDER_DIGESTS = {
+    "triangular ansi triangle color": "fb6c39bdacce40bdae94cac14e48283896e17542db6cbc2650f83f18120889d7",
+    "triangular ansi triangle plain": "bd816080c88716829b9129355e939e3f99d3abad13cd44047b00611351620b4f",
+    "triangular ansi left color": "f315c12d0004835e3c7808ac6a7e934162ecb59cabf71af129291b55dcf366ca",
+    "triangular ansi left plain": "b6f3a19b127c0c94d9753b5c5f83370bb92c20f953684e77508ab2a2ffe49229",
+    "triangular svg triangle color": "8144b3dd6d9c205023f17e7cb512f7fa6f19f5ca520aa3a1b7ed635de925469f",
+    "triangular svg triangle plain": "8144b3dd6d9c205023f17e7cb512f7fa6f19f5ca520aa3a1b7ed635de925469f",
+    "triangular svg left color": "5d18d1043556627da354952fa588de037f779e0c71072beeded57b81664fbb52",
+    "triangular svg left plain": "5d18d1043556627da354952fa588de037f779e0c71072beeded57b81664fbb52",
+    "triangular bits": "dd21221c3dd8a5e222a3f23a699b219edf1c9aa8b13a0388c908d9e16a07ea5f",
+    "triangular json": "0926c7a1b9ff32a44a987bc8f1e7c60e04063b8fb9806a86bd6b64837d923f51",
+    "berlin ansi triangle color": "79af632046b6b20f125acfc3565b0f596835369a5209e56ccb69dd105ef4fcc6",
+    "berlin ansi triangle plain": "c18b68f43102d22d49d0b7b66f5266c633055ab05349c31a0adefc54e7f91995",
+    "berlin ansi left color": "3b12c27c392838d25e203d8de47debbc88060cf13ed8aceb7f5a5b078cde865e",
+    "berlin ansi left plain": "390c8ac5f6b96fd2f7f3b4b6ac509e5d49e1ad76542dbd462c47c0ec3095dd67",
+    "berlin ansi berlin color": "34beedfdd344f2c253093fd3677b4b365f9e53ea82bba25721457abc983d1f45",
+    "berlin ansi berlin plain": "8a940600d77542653c52970c05cebaa6a98f0423dfde27dfa607d7fbb6356def",
+    "berlin svg triangle color": "b3f8d88cf3f53b9dc16a42c9e0a89d97ebb010f6c59c6c15681a4b0fae91e53b",
+    "berlin svg triangle plain": "b3f8d88cf3f53b9dc16a42c9e0a89d97ebb010f6c59c6c15681a4b0fae91e53b",
+    "berlin svg left color": "0e1198f126e9503dad24ac6d2427e2165b4e360b57dc255cc820b6a538fb9829",
+    "berlin svg left plain": "0e1198f126e9503dad24ac6d2427e2165b4e360b57dc255cc820b6a538fb9829",
+    "berlin svg berlin color": "700012bbe7ff689cbf08d9d59b08bc0c24ca14e41ec0a2371a2ae807cc55a2aa",
+    "berlin svg berlin plain": "700012bbe7ff689cbf08d9d59b08bc0c24ca14e41ec0a2371a2ae807cc55a2aa",
+    "berlin bits": "a4a4b0f77ebad4f91349317db458b70cf55a795d154a679f35cccb89563df844",
+    "berlin json": "e5ef242b325f8e8bbdbb754703a96c8476a67d2304d18e9b2c302eb239af626d",
+    "w ansi triangle color": "5225a7d22e8ba89fd3f89eaa58de74dc08569517e1258f8b2b3231f8664c539c",
+    "w ansi triangle plain": "a9afba8431146781fe4872b6d55a6937726cef5ec611ee892eafc65722d73905",
+    "w ansi left color": "081db339bdd43627d8e944bd03636cb797c151132a0b32349643e3b44ccaf806",
+    "w ansi left plain": "a0849f4a54f476db7e170349b9073f9533dcac716f1cb78c7173966da2745683",
+    "w ansi berlin color": "a315febcb2f345d6d5482b334b35e4ed9aa357fe3744671ea7dde99c30b4a445",
+    "w ansi berlin plain": "e5edb61bfdd1d228f1da050657252efddc03142f67cf3d9f576af3dedece125b",
+    "w svg triangle color": "afef7b990f1ee84acc540ebbc7bbe124e79761fffe2101b1cd3123d9102a412c",
+    "w svg triangle plain": "afef7b990f1ee84acc540ebbc7bbe124e79761fffe2101b1cd3123d9102a412c",
+    "w svg left color": "e7dccc265126353f3a1f4fe1737f8a2653e7bbb313eef886cc664d12f2990e6a",
+    "w svg left plain": "e7dccc265126353f3a1f4fe1737f8a2653e7bbb313eef886cc664d12f2990e6a",
+    "w svg berlin color": "479b3d94e92725e7213866806a76ab583e902c14b6eb8972175a38ec562ba918",
+    "w svg berlin plain": "479b3d94e92725e7213866806a76ab583e902c14b6eb8972175a38ec562ba918",
+    "w bits": "886f2812cf7abae7a8ac0bb483b31fffd5c2e21db50958a10dc25cd03e326170",
+    "w json": "f1699c2cc637b62063046fbf2c9e5a37bdcfbd5c22129b70ec86ff217a94260f",
+    "h ansi triangle color": "2f5dcff3a6e83c5f9ee56788e4b8403b312df5fa3648f27b1db05b40cce30656",
+    "h ansi triangle plain": "99d71fd028a763fa6faea97b12d62507878386607ba5fe4bbc8ba518fe36fd63",
+    "h ansi left color": "d7da8f27ff86db6d829306570838ce2b445e2febe48039b216e9972f87d825bb",
+    "h ansi left plain": "6601e791775fe73d57a79735d84bf1742067bd51f6cf5eb1875cad3789084bbc",
+    "h svg triangle color": "709945143bb9ac77bcdaa71a12a97b4cd06acd73ba8e3136e29401270f2a0716",
+    "h svg triangle plain": "709945143bb9ac77bcdaa71a12a97b4cd06acd73ba8e3136e29401270f2a0716",
+    "h svg left color": "3d9b19d58a315eb6d8b409ffd7349fce461f60a004bb798ed546031b68732215",
+    "h svg left plain": "3d9b19d58a315eb6d8b409ffd7349fce461f60a004bb798ed546031b68732215",
+    "h bits": "a957c6573755d14564bd58b35979c73fc621baf25e57d7f520a901a47d69d2da",
+    "h json": "37e716b4b48270bc90c8b35ced907ca527eeb95da1b4a5c2e01495758f7fe25e",
+}
+
+
+@pytest.mark.parametrize("key, name, spec", PINNED_RENDERS, ids=[key for key, _, _ in PINNED_RENDERS])
+def test_every_minute_renders_the_pinned_bytes(key, name, spec):
+    scheme = PINNED_FACES[name]
+    renders = "\0".join(render(encode(TimeOfDay(m), scheme), scheme, spec) for m in range(1440))
+    assert hashlib.sha256(renders.encode()).hexdigest() == RENDER_DIGESTS[key]
 
 
 class TestRowWidthBound:
