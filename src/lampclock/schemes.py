@@ -1,27 +1,23 @@
 """Enumeration of lamp-row layouts that realize a given state count.
 
-A display with rows of ``m_1, ..., m_k`` lamps (monotone left-fill, so a
-row of m lamps shows m+1 states) has ``(m_1+1) * ... * (m_k+1)`` states.
-Every ordered factorization of a target state count N into factors >= 2
-therefore yields one feasible layout, a factor f contributing a row of
-f-1 lamps. Row order matters physically (top rows are more significant),
-so factorizations are ordered, not unordered. Factors of 1 would be
-zero-lamp rows and are excluded.
+A row of m lamps (monotone left-fill) shows m+1 states, so a display with
+rows of ``m_1, ..., m_k`` lamps has ``(m_1+1) * ... * (m_k+1)`` states, and
+each ordered factorization of a target N into factors >= 2 is one layout, a
+factor f a row of f-1 lamps. Top rows are more significant, so order counts.
 
-The target is factored once (trial division, Miller-Rabin, Pollard's
-rho). Its prime exponents give the number of layouts, so the cap is
-checked before any layout is built, and the few that are not irregular:
-the triangle if N == (n+1)!, k equal rows if k divides every exponent.
-The walk below lists the layouts in lexicographic order, so bisection
-finds those few and an unfiltered query makes no lookup per layout. Each
-returned layout is built once, as a bare shape filled through its slots.
+N is factored once: one gcd decides whether trial division by the primes
+to 37 runs, then Miller-Rabin on the fewest bases known to be exact, and
+Pollard's rho. The exponents give the number of layouts in one pass, so the
+cap is checked before any layout is built, and the few that are not
+irregular: the triangle if N == (n+1)!, k equal rows if k divides every
+exponent. Bisection finds those few in the walk's lexicographic list.
 
-The layouts come from one walk up the sorted divisors of N. Those of a
-divisor d are each factor f of d, ascending, as a first row, followed by
-each layout of d/f, which the walk has built already and in order. Under
-the cap N has at most 256 divisors, so the walk makes at most 32,640
-divisibility tests, one per pair f <= d above 1. The layouts it keeps for
-the divisors below N number at most H(N), freed before any shape is built.
+The walk goes up the sorted divisors of N. The layouts of a divisor d are
+each factor f of d, ascending, as a first row, followed by each layout of
+d/f, built already and in order. N has at most 256 divisors under the cap,
+so the walk makes at most 32,640 divisibility tests, one per pair f <= d
+above 1, and keeps at most H(N) layouts of the divisors below N, freed
+before any shape is built.
 """
 
 from __future__ import annotations
@@ -54,17 +50,21 @@ class SchemeShape(_Record):
         _set_total_lamps(self, total_lamps)
 
 
-# The slots' own setters: one call each, where object.__setattr__ looks the name up on every shape
+# Module names for the hot paths (codec's rule at _AM): the members, and the slots' setters (one call each)
+_TRIANGULAR, _RECTANGULAR, _IRREGULAR = ShapeClass
 _set_lamp_counts, _set_classification, _set_total_lamps = (
     getattr(SchemeShape, name).__set__ for name in SchemeShape.__slots__)
 _new = object.__new__
 
-# Trial divisors. What trial division leaves is coprime to each, so each can be a Miller-Rabin base.
+# Trial divisors, tried only when n shares a factor with their product. What is left is above 37.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (bound, count): Miller-Rabin on the first count primes is exact below bound (Pomerance et al. 1980,
-# Jaeschke 1993, Jiang and Deng 2014, Sorenson and Webster 2015). Each bound fools its bases: n < bound.
-_MR_TIERS = ((2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_747, 5),
-             (3_474_749_660_383, 6), (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9), (MAX_TARGET, 12))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+# (bound, bases): Miller-Rabin on these bases is exact below bound, which fools them (sources in README.md).
+# Every base is below every n of its tier, so a prime n never divides its base.
+_MR_TIERS = ((2_047, (2,)), (1_373_653, (2, 3)), (9_080_191, (31, 73)), (4_759_123_141, (2, 7, 61)),
+             (1_122_004_669_633, (2, 13, 23, 1_662_803)), (2_152_302_898_747, _SMALL_PRIMES[:5]),
+             (3_474_749_660_383, _SMALL_PRIMES[:6]), (341_550_071_728_321, _SMALL_PRIMES[:7]),
+             (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]), (MAX_TARGET, _SMALL_PRIMES))
 _RHO_BATCH = 64  # gcds are taken over products of this many differences
 
 
@@ -75,12 +75,12 @@ def _check_target(target_states: int) -> None:
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin for 37 < n < MAX_TARGET, with the fewest bases exact for n."""
-    for bound, count in _MR_TIERS:
+    for bound, bases in _MR_TIERS:
         if n < bound:
             break
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == d * 2**s with d odd
     d = (n - 1) >> s
-    for a in _SMALL_PRIMES[:count]:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -124,7 +124,7 @@ def _pollard_brent(n: int) -> int:
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of 1 <= n < MAX_TARGET as {prime: exponent}, ascending by prime."""
     factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _SMALL_PRIMES if gcd(n, _SMALL_PRODUCT) > 1 else ():  # no loop when no prime to 37 divides n
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
@@ -140,28 +140,29 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 def _shape_count(factors: dict[int, int]) -> int:
-    """Ordered factorizations of the number with this prime factorization:
-    ``ways`` counts ordered splits into j factors >= 1, one stars-and-bars
-    choice per prime, and inclusion-exclusion over the factors allowed to be
-    1 leaves the splits into exactly k factors >= 2, summed over k."""
+    """Ordered factorizations of the number with these Omega prime factors:
+    ``ways`` counts the ordered splits into j factors >= 1, one stars-and-bars
+    choice per prime, and inclusion-exclusion over factors of 1, summed over k
+    factors >= 2, weighs it by t_j = sum((-1)**(k-j) * C(k, j) for k in j..Omega).
+    As (2 - y) * sum(t_j * y**j) == 1 - (y - 1)**(Omega+1), t_0 = (1 + (-1)**Omega) / 2
+    and t_j = (t_(j-1) + (-1)**(Omega-j) * C(Omega+1, j)) / 2, each halving exact."""
     exponents = factors.values()
     omega = sum(exponents)
+    t, sign = (0, 1) if omega % 2 else (1, -1)  # t_0, and (-1) ** (omega - j) for j = 1
     total = 0
     for j in range(1, omega + 1):
-        ways = 1
+        t = (t + sign * comb(omega + 1, j)) // 2
+        sign = -sign
+        ways = t
         for e in exponents:
             ways *= comb(e + j - 1, e)
-        sign = 1  # (-1) ** (k - j)
-        for k in range(j, omega + 1):
-            total += sign * comb(k, j) * ways
-            sign = -sign
+        total += ways
     return total
 
 
 def count_shapes(target_states: int) -> int:
-    """Number of row layouts with exactly ``target_states`` display
-    states, which is the number of its ordered factorizations into
-    factors >= 2 (Kalmar's function H(n)), computed without building any."""
+    """Number of row layouts with exactly ``target_states`` display states, its ordered
+    factorizations into factors >= 2 (Kalmar's function H(n)), computed without building any."""
     _check_target(target_states)
     return _shape_count(_factorize(target_states))
 
@@ -170,14 +171,13 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
                      limit: int = DEFAULT_SHAPE_LIMIT) -> list[SchemeShape]:
     """All row layouts with exactly ``target_states`` display states.
 
-    Returns one shape per ordered factorization of ``target_states`` into
-    factors >= 2, in lexicographic order of lamp counts, optionally
-    restricted to one geometry class. ``target_states`` must be an int in
-    [2, 2**64), ``shape_filter`` a ShapeClass or None and ``limit`` an int of
-    at least 1, else :class:`ValueError`.
-    The cap applies to the count of all shapes before filtering: when
-    :func:`count_shapes` exceeds ``limit``, or ``MAX_SHAPE_LIMIT`` if smaller,
-    :class:`EnumerationCapError` is raised before any shape is built.
+    Returns one shape per ordered factorization of ``target_states`` into factors >= 2,
+    in lexicographic order of lamp counts, optionally restricted to one geometry class.
+    ``target_states`` must be an int in [2, 2**64), ``shape_filter`` a ShapeClass or
+    None and ``limit`` an int of at least 1, else :class:`ValueError`. The cap applies
+    to the count of all shapes before filtering: when :func:`count_shapes` exceeds
+    ``limit``, or ``MAX_SHAPE_LIMIT`` if smaller, :class:`EnumerationCapError` is
+    raised before any shape is built.
     """
     _check_target(target_states)
     if shape_filter is not None and not isinstance(shape_filter, ShapeClass):  # no coercion of "TRIANGULAR"
@@ -191,13 +191,13 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
 
     # The asked-for shapes that are not irregular: (1..n) if N == (n+1)!, (f-1,)*k if N == f**k
     special = {}
-    if shape_filter is not ShapeClass.RECTANGULAR and (rows := is_triangular_feasible(target_states)):
-        special[tuple(range(1, rows + 1))] = ShapeClass.TRIANGULAR
-    g = 1 if shape_filter is ShapeClass.TRIANGULAR else gcd(*factors.values())
+    if shape_filter is not _RECTANGULAR and (rows := is_triangular_feasible(target_states)):
+        special[tuple(range(1, rows + 1))] = _TRIANGULAR
+    g = 1 if shape_filter is _TRIANGULAR else gcd(*factors.values())
     for k in range(g, 1, -1):  # N == f**k when k divides every exponent; larger k, smaller f
         if g % k == 0:
-            special[(prod(p ** (e // k) for p, e in factors.items()) - 1,) * k] = ShapeClass.RECTANGULAR
-    if shape_filter is ShapeClass.TRIANGULAR or shape_filter is ShapeClass.RECTANGULAR:
+            special[(prod(p ** (e // k) for p, e in factors.items()) - 1,) * k] = _RECTANGULAR
+    if shape_filter is _TRIANGULAR or shape_filter is _RECTANGULAR:
         return [SchemeShape(lamps, shape_filter, sum(lamps)) for lamps in special]
     divisors = [1]
     for p, e in factors.items():
@@ -217,7 +217,7 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
             del lamp_lists[i]
         places = {}
     shapes = []
-    irregular = ShapeClass.IRREGULAR
+    irregular = _IRREGULAR
     for lamps in lamp_lists:  # a bare shape filled through the setters with what the walk computed
         shape = _new(SchemeShape)
         _set_lamp_counts(shape, lamps)

@@ -9,7 +9,7 @@ Fermat's theorem, never by Miller-Rabin.
 
 import json
 from itertools import product
-from math import prod
+from math import comb, prod
 
 
 def exhaustive_digits(minutes: int, lamp_counts: list[int], units: list[int]) -> tuple[int, ...]:
@@ -34,6 +34,21 @@ def ordered_factorization_count(n: int) -> int:
     if n == 1:
         return 1
     return sum(ordered_factorization_count(n // f) for f in range(2, n + 1) if n % f == 0)
+
+
+def ordered_factorization_count_by_exponents(exponents: list[int]) -> int:
+    """The same count from the prime exponents alone, by a double sum:
+    ``ways`` counts the ordered splits into j factors >= 1, one
+    stars-and-bars choice per prime, and inclusion-exclusion over the
+    factors allowed to be 1 leaves the splits into exactly k factors >= 2,
+    summed over k. The library sums over j only, with a recurrence for the
+    alternating sum over k."""
+    omega = sum(exponents)
+    total = 0
+    for j in range(1, omega + 1):
+        ways = prod(comb(e + j - 1, e) for e in exponents)
+        total += sum((-1) ** (k - j) * comb(k, j) * ways for k in range(j, omega + 1))
+    return total
 
 
 def ordered_factorizations(n: int) -> list[tuple[int, ...]]:

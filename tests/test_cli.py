@@ -244,6 +244,10 @@ class TestSchemes:
         (["schemes", str(2**61 - 1)], EXIT_OK, "[2305843009213693950] IRREGULAR 2305843009213693950\n", ""),
         (["schemes", "1000000000000000000", "--limit", "10000000000000000000"], EXIT_INPUT, "",
          "more than 1000000 shapes"),
+        # 2**63 has 2**62 layouts, one per composition of 63; 2**64 - 59 is the largest prime below 2**64
+        (["schemes", "9223372036854775808", "--count"], EXIT_OK, "4611686018427387904\n", ""),
+        (["schemes", "18446744073709551557", "--count"], EXIT_OK, "1\n", ""),
+        (["schemes", "262144"], EXIT_INPUT, "", "more than 100000 shapes"),  # 2**18: 131072 layouts
     ])
     def test_huge_targets_finish_quickly(self, argv, code, stdout, stderr, capsys):
         start = time.perf_counter()

@@ -20,9 +20,9 @@ from lampclock import (
     validate,
 )
 import lampclock.schemes as schemes
-from lampclock.schemes import _factorize, _is_prime
-from oracles import (is_prime, lucas_proves_prime, ordered_factorization_count, ordered_factorizations,
-                     prime_sieve, shape_class)
+from lampclock.schemes import _MR_TIERS, _factorize, _is_prime
+from oracles import (is_prime, lucas_proves_prime, ordered_factorization_count,
+                     ordered_factorization_count_by_exponents, ordered_factorizations, prime_sieve, shape_class)
 
 
 def enumerated_shape(counts):
@@ -154,6 +154,25 @@ class TestEnumerateShapes:
         for n in range(2, 5001):
             assert count_shapes(n) == ordered_factorization_count(n), n
 
+    # below 5000 a target has at most 12 prime factors; these reach 63
+    def test_count_shapes_of_powers_of_two(self):
+        for k in range(1, 64):  # a layout of 2**k is a composition of k
+            assert count_shapes(2**k) == 2 ** (k - 1), k
+
+    def test_count_shapes_of_primorials_are_fubini_numbers(self):
+        # the ordered set partitions of r primes, OEIS A000670; 2 * 3 * ... * 47 < 2**64
+        fubini = [1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563, 1622632573, 28091567595,
+                  526858348381, 10641342970443, 230283190977853]
+        primes = [p for p in range(2, 48) if is_prime(p)]
+        assert [count_shapes(math.prod(primes[:r])) for r in range(1, 16)] == fubini
+
+    def test_count_shapes_of_two_prime_powers_matches_the_double_sum(self):
+        for a in range(64):
+            for b in range(41):
+                if 2 <= 2**a * 3**b < 2**64:
+                    exponents = [e for e in (a, b) if e]
+                    assert count_shapes(2**a * 3**b) == ordered_factorization_count_by_exponents(exponents), (a, b)
+
     @pytest.mark.parametrize("shape_filter", list(ShapeClass))
     @given(st.integers(min_value=2, max_value=2520))
     @example(2)
@@ -211,11 +230,16 @@ class TestEnumerateShapes:
             (1, 1, 1, 1, 1, 1), (3, 3, 3), (7, 7)]
 
     def test_triangular_query_builds_no_rectangle(self, monkeypatch):
-        # the rectangles come from the gcd of the exponents; 4096 == 2**12 needs no rho
+        # the rectangles come from the gcd of the exponents and a product of prime powers. Factoring
+        # takes gcds of its own, so the targets are factored first and the query is handed the result.
+        factorizations = {n: _factorize(n) for n in (4096, 720)}
+
         def no_rectangles(*args):
             raise AssertionError("a triangular query worked out the rectangles")
 
+        monkeypatch.setattr(schemes, "_factorize", lambda n: dict(factorizations[n]))
         monkeypatch.setattr(schemes, "gcd", no_rectangles)
+        monkeypatch.setattr(schemes, "prod", no_rectangles)
         assert enumerate_shapes(4096, ShapeClass.TRIANGULAR) == []
         assert [s.lamp_counts for s in enumerate_shapes(720, ShapeClass.TRIANGULAR)] == [(1, 2, 3, 4, 5)]
 
@@ -240,7 +264,7 @@ class TestFactorize:
     @pytest.mark.parametrize("n", [
         561, 41041, 825265,  # Carmichael numbers
         # the least strong pseudoprimes to the bases 2, 2..3, 2..5, 2..7, 2..11, 2..13, 2..19
-        # and 2..31; each is the bound of a tier, so it is tested with the next tier's bases
+        # and 2..31; each but 2..5's and 2..7's is the bound of a tier, so it is tested with the next tier's bases
         2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
         3825123056546413051,
         999983**2, 1000003**2, 999983**3, 1000003**3,
@@ -263,13 +287,29 @@ class TestFactorize:
         assert _factorize(n) == {n: 1}
         assert lucas_proves_prime(n, [2] * twos + [3] * threes)
 
-    # a prime just below the bound of each tier with 1, 2, 3, 5 and 6 bases, with the primes of n - 1
+    @pytest.mark.parametrize("bound, factors, bases", [
+        (9080191, {2131: 1, 4261: 1}, (31, 73)),
+        (4759123141, {48781: 1, 97561: 1}, (2, 7, 61)),
+        (1122004669633, {611557: 1, 1834669: 1}, (2, 13, 23, 1662803)),
+    ])
+    def test_each_minimal_base_set_is_fooled_at_its_bound(self, bound, factors, bases):
+        # Jaeschke's sets: exact below the bound, and the bound itself is a strong pseudoprime to them
+        assert (bound, bases) in _MR_TIERS
+        assert _factorize(bound) == factors and all(is_prime(p) for p in factors)
+        s = ((bound - 1) & (1 - bound)).bit_length() - 1
+        odd = (bound - 1) >> s
+        for a in bases:
+            assert pow(a, odd, bound) == 1 or bound - 1 in [pow(a, odd << r, bound) for r in range(s)]
+
+    # a prime just below the bound of each tier but the last three, with the primes of n - 1
     @pytest.mark.parametrize("n, primes_of_n_minus_1, bases", [
-        (2039, [2, 1019], 1),
-        (1373639, [2, 7, 59, 1663], 2),
-        (25325981, [2, 2, 5, 61, 20759], 3),
-        (2152302898729, [2, 2, 2, 3, 2689, 33350423], 5),
-        (3474749660329, [2, 2, 2, 3, 3, 3, 30259, 531637], 6),
+        (2039, [2, 1019], (2,)),
+        (1373639, [2, 7, 59, 1663], (2, 3)),
+        (9080189, [2, 2, 13, 41, 4259], (31, 73)),
+        (4759123129, [2, 2, 2, 3, 53, 3741449], (2, 7, 61)),
+        (1122004669603, [2, 3, 131, 1427486857], (2, 13, 23, 1662803)),
+        (2152302898729, [2, 2, 2, 3, 2689, 33350423], (2, 3, 5, 7, 11)),
+        (3474749660329, [2, 2, 2, 3, 3, 3, 30259, 531637], (2, 3, 5, 7, 11, 13)),
     ], ids=str)
     def test_primes_below_the_bounds_use_the_fewest_bases(self, monkeypatch, n, primes_of_n_minus_1, bases):
         assert lucas_proves_prime(n, primes_of_n_minus_1)
@@ -277,11 +317,17 @@ class TestFactorize:
         used = []  # a module global shadows the builtin pow that _is_prime calls
         monkeypatch.setattr(schemes, "pow", lambda a, d, m: used.append(a) or pow(a, d, m), raising=False)
         assert _is_prime(n)
-        assert used == [2, 3, 5, 7, 11, 13][:bases]
+        assert tuple(used) == bases
 
     def test_is_prime_agrees_with_a_sieve_below_a_million(self):
         sieve = prime_sieve(10**6)
         assert [n for n in range(39, 10**6, 2) if _is_prime(n) != sieve[n]] == []
+
+    def test_is_prime_agrees_with_a_sieve_at_both_ends_of_the_31_73_tier(self):
+        # the whole tier, [1373653, 9080191), is checked by tests/check_miller_rabin_tier.py
+        sieve = prime_sieve(9_080_191)
+        for low, high in ((1_373_653, 1_573_653), (8_880_191, 9_080_191)):
+            assert [n for n in range(low, high, 2) if _is_prime(n) != sieve[n]] == []
 
 
 class TestTriangularFeasibility:
