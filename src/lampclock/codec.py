@@ -33,14 +33,15 @@ _set = object.__setattr__  # how a _Record's __init__ fills its fields
 
 
 class _Record:
-    """Immutable value whose fields are its ``__slots__``, in constructor
-    order: equality and hashing over the field tuple, a dataclass-style
-    repr, and pickling and copying through the constructor."""
+    """Immutable value whose fields are its ``__slots__`` in constructor order, but for derived data
+    in slots named ``_x``: equality and hashing over the field tuple, a dataclass-style repr, and
+    pickling and copying through the constructor."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -51,7 +52,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value=None):
@@ -60,7 +61,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Meridiem(Enum):
@@ -129,10 +130,6 @@ class RowScheme(_Record):
         _set(self, "base_unit_minutes", base_unit_minutes)
 
     @property
-    def lamp_counts(self) -> tuple[int, ...]:
-        return tuple(row.lamp_count for row in self.rows)
-
-    @property
     def has_meridiem(self) -> bool:
         """True when states of this scheme carry an AM/PM flag."""
         return self.cycle_minutes == HALF_DAY
@@ -164,14 +161,6 @@ class TimeOfDay(_Record):
             raise ValueError(f"minute out of range [0, 60): {minute}")
         return cls(hour * 60 + minute)
 
-    @property
-    def hour(self) -> int:
-        return self.minutes_since_midnight // 60
-
-    @property
-    def minute(self) -> int:
-        return self.minutes_since_midnight % 60
-
     def __str__(self) -> str:  # HH:MM, the JSON render's time too: one read of the minutes, no properties
         return "%02d:%02d" % divmod(self.minutes_since_midnight, 60)
 
@@ -184,7 +173,7 @@ class DisplayState(_Record):
     cannot be represented at all.
     """
 
-    __slots__ = ("digits", "meridiem")
+    __slots__ = ("digits", "meridiem", "_scheme", "_units")  # the last two derived, by _state
 
     def __init__(self, digits: Iterable[int], meridiem: Meridiem | None = None):
         digits = tuple(digits)
@@ -195,22 +184,26 @@ class DisplayState(_Record):
             raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
         _set_digits(self, digits)
         _set_meridiem(self, meridiem)
+        _set_scheme(self, None)  # checked against no scheme yet
 
 
 # Module names for the hot paths: the slots' own setters, which cost less than object.__setattr__
 # (as in schemes.SchemeShape), and the meridiems. The rule in codec and render: a hot path reads an
 # enum member through a module name (~20 ns), never through its class (~147 ns a read, Python 3.11).
 _set_minutes = TimeOfDay.minutes_since_midnight.__set__
-_set_digits, _set_meridiem = (getattr(DisplayState, name).__set__ for name in DisplayState.__slots__)
+_set_digits, _set_meridiem, _set_scheme, _set_units = (
+    getattr(DisplayState, name).__set__ for name in DisplayState.__slots__)
 _AM, _PM = Meridiem.AM, Meridiem.PM
 _new = object.__new__
 
 
-def _state(digits: tuple[int, ...], meridiem: Meridiem | None) -> DisplayState:
-    """A state from digits and a meridiem its caller made or checked: no second check."""
+def _state(digits: tuple[int, ...], meridiem: Meridiem | None, scheme: RowScheme, units: int) -> DisplayState:
+    """A state its caller checked against ``scheme``, where it shows ``units`` base units: no check."""
     state = _new(DisplayState)
     _set_digits(state, digits)
     _set_meridiem(state, meridiem)
+    _set_scheme(state, scheme)
+    _set_units(state, units)
     return state
 
 
@@ -267,14 +260,14 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
             f"time {time} is outside the {scheme.cycle_minutes}-minute cycle of scheme {scheme.name!r}"
         )
 
-    remainder = minutes // scheme.base_unit_minutes
+    units = remainder = minutes // scheme.base_unit_minutes
     digits = []
     for row in scheme.rows:
-        digit, remainder = divmod(remainder, row.unit_value)
-        digits.append(digit)
+        digits.append(remainder // row.unit_value)  # two operators cost less than a call to divmod
+        remainder %= row.unit_value
     if digits[0] > scheme.rows[0].lamp_count:  # only the top row can overflow
         raise ValueError(f"time {time} is past the capacity of scheme {scheme.name!r}")
-    return _state(tuple(digits), meridiem)
+    return _state(tuple(digits), meridiem, scheme, units)
 
 
 def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
@@ -295,6 +288,8 @@ def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
 
 def _check_state(state: DisplayState, scheme: RowScheme) -> int:
     """Check the state against the scheme and return its weighted digit sum, in base units."""
+    if state._scheme is scheme:  # _state built it for this very object, after its caller checked it
+        return state._units
     digits, rows = state.digits, scheme.rows
     if len(digits) != len(rows):
         raise InvalidStateError(f"state has {len(digits)} digits, scheme {scheme.name!r} has {len(rows)} rows")

@@ -9,6 +9,7 @@ of an unlit one.
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 
 from .codec import (_AM, DisplayState, Meridiem, RowScheme, _check_meridiem, _check_state, _Record, _set, _state,
                     decode)
@@ -43,6 +44,12 @@ SVG_PITCH = 40  # even, so that circle centres (multiples of half the pitch) are
 _ANSI, _BITS, _JSON = RenderFormat.ANSI, RenderFormat.BITS, RenderFormat.JSON
 _TRIANGLE, _LEFT, _BLOCKS = Layout.TRIANGLE_CENTERED, Layout.LEFT_ALIGNED, Layout.BERLIN_BLOCKS
 _SVG_PAINT = {c: c for c in ANSI_COLOR_CODES}  # an SVG lamp is filled with its color's name
+# ANSI cells, bracketed in the block layout: unlit by ``blocks``, lit by ``(blocks, use_color)`` and color
+_ANSI_UNLIT = {False: UNLIT_GLYPH, True: f"[{UNLIT_GLYPH}]"}
+_ANSI_PAINT = {(blocks, use_color): {c: unlit.replace(UNLIT_GLYPH, f"\x1b[{code}m{LIT_GLYPH}\x1b[0m" if use_color
+                                                      else LIT_GLYPH) for c, code in ANSI_COLOR_CODES.items()}
+               for blocks, unlit in _ANSI_UNLIT.items() for use_color in (False, True)}
+_lamp_count = attrgetter("lamp_count")
 _quote = None  # json.dumps's escaper, bound on the first JSON render so that only JSON loads json
 
 
@@ -77,9 +84,7 @@ def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
         return "/".join(["1" * digit + "0" * (row.lamp_count - digit)
                          for digit, row in zip(state.digits, scheme.rows)])
     if spec.layout is _BLOCKS and len(scheme.rows) != 4:
-        raise RenderError(
-            f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}"
-        )
+        raise RenderError(f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}")
     return (_render_ansi if fmt is _ANSI else _render_svg)(state, scheme, spec)
 
 
@@ -112,12 +117,9 @@ def _lit_cells(state: DisplayState, scheme: RowScheme, paint: dict[str, str]) ->
 
 
 def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
-    max_lamps = max(row.lamp_count for row in scheme.rows)
+    max_lamps = max(map(_lamp_count, scheme.rows))
     blocks = spec.layout is _BLOCKS
-    left, right = ("[", "]") if blocks else ("", "")
-    unlit = f"{left}{UNLIT_GLYPH}{right}"
-    paint = ({c: f"{left}\x1b[{code}m{LIT_GLYPH}\x1b[0m{right}" for c, code in ANSI_COLOR_CODES.items()}
-             if spec.use_color else dict.fromkeys(ANSI_COLOR_CODES, f"{left}{LIT_GLYPH}{right}"))
+    unlit, paint = _ANSI_UNLIT[blocks], _ANSI_PAINT[blocks, spec.use_color]
 
     # Center each row over the widest row (the bottom row of a triangle),
     # half a cell per lamp it lacks, unless the layout is left-aligned.
@@ -134,7 +136,7 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> st
 
 def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     pitch = SVG_PITCH
-    max_lamps = max(row.lamp_count for row in scheme.rows)
+    max_lamps = max(map(_lamp_count, scheme.rows))
     width = max_lamps * pitch
     height = len(scheme.rows) * pitch
     blocks = spec.layout is _BLOCKS
@@ -146,9 +148,10 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str
         fills += [UNLIT_SVG_FILL] * (lamps - len(fills))
         y = k * pitch
         if blocks:
-            cell = width / lamps
-            rest = f'" y="{y + 2}" width="{cell - 4:g}" height="{pitch - 4}" fill="'
-            shapes += [f'  <rect x="{i * cell + 2:g}{rest}{fill}"/>' for i, fill in enumerate(fills)]
+            # ints, where the width divides evenly, print as :g prints them below 10**6, for a third of the cost
+            cell, g = (width // lamps, "") if width % lamps == 0 else (width / lamps, "g")
+            rest = f'" y="{y + 2}" width="{cell - 4:{g}}" height="{pitch - 4}" fill="'
+            shapes += [f'  <rect x="{i * cell + 2:{g}}{rest}{fill}"/>' for i, fill in enumerate(fills)]
         else:
             x0 = (max_lamps - lamps) * pitch // 2 if centered else 0
             rest = f'" cy="{y + pitch // 2}" r="{pitch * 2 // 5}" fill="'
@@ -174,11 +177,11 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
     if len(rows) != len(scheme.rows):
         raise BitsParseError(f"expected {len(scheme.rows)} rows separated by '/', got {len(rows)}")
 
-    digits = []
+    digits, units = [], 0
     for bits, row in zip(rows, scheme.rows):
         n = row.lamp_count
-        ones = bits.count("1")
-        if len(bits) != n or bits != "1" * ones + "0" * (n - ones):  # the happy path's one test of all 3 rules
+        zeros = bits.lstrip("1")  # what follows the lit lamps, all 0s in a left-filled row
+        if len(bits) != n or zeros.strip("0"):  # the happy path's one test of all 3 rules
             k = scheme.rows.index(row) + 1  # rows differ in unit_value, so this is the row's own number
             if len(bits) != n:
                 raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
@@ -186,9 +189,11 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
                 raise BitsParseError(f"row {k} contains characters other than 0/1: {bits!r}")
             raise MonotoneFillError(
                 k, f"row {k} is not left-filled: {bits!r} has a lit lamp right of an unlit one")
+        ones = n - len(zeros)
         digits.append(ones)
+        units = units * (n + 1) + ones  # Horner's rule on the unit recurrence: the weighted digit sum
 
     _check_meridiem(scheme, meridiem)
     if meridiem is not None and type(meridiem) is not Meridiem:  # as DisplayState checks it
         raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
-    return _state(tuple(digits), meridiem)
+    return _state(tuple(digits), meridiem, scheme, units)

@@ -31,19 +31,18 @@ class SystemTimeSource:
 
 class ScriptedTimeSource:
     """Replays a sequence of times, which may be endless, then reports
-    exhaustion. Strings are parsed as ``HH:MM`` when they are read.
+    exhaustion.
 
     Times are read ahead in batches, so that a poll of the tick loop costs
     a list pop rather than a step of the caller's iterator.
     """
 
-    def __init__(self, times: Iterable[TimeOfDay | str]):
+    def __init__(self, times: Iterable[TimeOfDay]):
         self._times = iter(times)
         self._ahead: list[TimeOfDay] = []
 
     def now(self) -> TimeOfDay | None:
         if not self._ahead:
-            self._ahead = [t if isinstance(t, TimeOfDay) else TimeOfDay.parse(t)
-                           for t in islice(self._times, _READ_AHEAD)]
+            self._ahead = list(islice(self._times, _READ_AHEAD))
             self._ahead.reverse()
         return self._ahead.pop() if self._ahead else None

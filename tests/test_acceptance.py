@@ -56,14 +56,14 @@ def test_criterion_1_worked_example_4_49():
     assert state.digits == exhaustive_digits(289, TRI_LAMPS, TRI_UNITS)
     assert state.meridiem is Meridiem.AM
     back = decode(state, TRIANGULAR)
-    assert (back.hour, back.minute) == (4, 49)
+    assert back.minutes_since_midnight == 4 * 60 + 49
     assert best_of(20, lambda: decode(encode(t, TRIANGULAR), TRIANGULAR)) < 0.001
 
 
 def test_criterion_2_all_lamps_on_is_11_59():
     all_on = DisplayState((1, 2, 3, 4, 5), Meridiem.AM)
     t = decode(all_on, TRIANGULAR)
-    assert (t.hour, t.minute) == (11, 59)
+    assert t.minutes_since_midnight == 11 * 60 + 59
     assert best_of(20, lambda: decode(all_on, TRIANGULAR)) < 0.001
 
 

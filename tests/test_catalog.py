@@ -114,7 +114,8 @@ def test_load_scheme_rejects_overlong_rows(tmp_path, lamps):
 
 def test_load_scheme_accepts_the_longest_row(tmp_path):
     payload = {"name": "wide", "cycle_minutes": 1440, "rows": [{"lamps": MAX_LAMPS_PER_ROW}]}
-    assert load_scheme(write_scheme(tmp_path, payload)).lamp_counts == (1440,)
+    scheme = load_scheme(write_scheme(tmp_path, payload))
+    assert tuple(row.lamp_count for row in scheme.rows) == (1440,)
 
 
 def test_load_scheme_bad_json(tmp_path):
@@ -134,7 +135,7 @@ class _PathLike:
 
 @pytest.mark.parametrize("wrap", [str, pathlib.Path, _PathLike], ids=["str", "Path", "PathLike"])
 def test_load_scheme_takes_any_path(tmp_path, wrap):
-    rows = [{"lamps": n} for n in TRIANGULAR.lamp_counts]
+    rows = [{"lamps": row.lamp_count} for row in TRIANGULAR.rows]
     path = write_scheme(tmp_path, {"name": "triangular", "cycle_minutes": 720, "rows": rows})
     assert load_scheme(wrap(path)) == TRIANGULAR
 

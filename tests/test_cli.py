@@ -362,7 +362,7 @@ class TestTick:
     def test_noon_boundary_ansi(self):
         out = io.StringIO()
         args = parse("tick", "--color", "always")
-        source = ScriptedTimeSource(["11:59", "12:00"])
+        source = ScriptedTimeSource(map(TimeOfDay.parse, ["11:59", "12:00"]))
         assert cmd_tick(args, out=out, source=source, sleep=lambda s: None) == EXIT_OK
         frames = out.getvalue().splitlines()
         first, second = "\n".join(frames[:5]), "\n".join(frames[5:])
@@ -372,7 +372,7 @@ class TestTick:
     def test_noon_boundary_meridiem(self):
         out = io.StringIO()
         args = parse("tick", "--format", "json")
-        source = ScriptedTimeSource(["11:59", "12:00"])
+        source = ScriptedTimeSource(map(TimeOfDay.parse, ["11:59", "12:00"]))
         cmd_tick(args, out=out, source=source, sleep=lambda s: None)
         docs = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [d["meridiem"] for d in docs] == ["AM", "PM"]
@@ -382,7 +382,7 @@ class TestTick:
     def test_midnight_wrap(self):
         out = io.StringIO()
         args = parse("tick", "--color", "always")
-        source = ScriptedTimeSource(["23:59", "00:00"])
+        source = ScriptedTimeSource(map(TimeOfDay.parse, ["23:59", "00:00"]))
         cmd_tick(args, out=out, source=source, sleep=lambda s: None)
         frames = out.getvalue().splitlines()
         first, second = "\n".join(frames[:5]), "\n".join(frames[5:])
@@ -413,7 +413,7 @@ class TestTick:
                 cmd_show(bits_args("show", scheme, text), out=shown)
                 ticked = io.StringIO()
                 cmd_tick(bits_args("tick", scheme), out=ticked,
-                         source=ScriptedTimeSource([text]), sleep=lambda s: None)
+                         source=ScriptedTimeSource([TimeOfDay(minute)]), sleep=lambda s: None)
                 assert ticked.getvalue() == shown.getvalue()
 
     def test_interrupt_is_clean_and_restores_cursor(self):
@@ -423,7 +423,7 @@ class TestTick:
             raise KeyboardInterrupt
 
         args = parse("tick")
-        source = ScriptedTimeSource(["10:00", "10:01", "10:02"])
+        source = ScriptedTimeSource(map(TimeOfDay.parse, ["10:00", "10:01", "10:02"]))
         assert cmd_tick(args, out=out, source=source, sleep=interrupting_sleep) == EXIT_OK
         text = out.getvalue()
         assert text.startswith("\x1b[?25l")  # cursor hidden while running
@@ -442,7 +442,7 @@ class TestTick:
         assert parse("tick", "--interval", "86400").interval == 86400
 
     def test_scripted_source_accepts_endless_iterables(self):
-        source = ScriptedTimeSource(itertools.cycle(["23:59", TimeOfDay(0)]))
+        source = ScriptedTimeSource(itertools.cycle([TimeOfDay.parse("23:59"), TimeOfDay(0)]))
         assert [str(source.now()) for _ in range(5)] == ["23:59", "00:00", "23:59", "00:00", "23:59"]
         out = io.StringIO()
         cmd_tick(bits_args("tick"), out=out, source=source, sleep=lambda s: None, max_polls=10_000)
@@ -452,7 +452,7 @@ class TestTick:
         pinned = time.struct_time((2026, 10, 19, 16, 7, 59, 0, 292, 0))
         monkeypatch.setattr(timesource, "localtime", lambda: pinned)
         now = SystemTimeSource().now()
-        assert (now.hour, now.minute) == (16, 7)
+        assert now.minutes_since_midnight == 16 * 60 + 7
 
     def test_scripted_source_replays_every_time_once(self):
         times = [TimeOfDay(m % 1440) for m in range(10_000)]
@@ -562,3 +562,17 @@ def test_exit_codes_partition():
     ]
     for argv in cases:
         assert main(argv) in {0, 2, 3}
+
+
+def test_console_script_checks_pass_through_a_shim(tmp_path):
+    # The checks that CI runs against the installed console script, run here against a shim that
+    # calls main as the [project.scripts] entry point does; their python3 is this interpreter.
+    shim = tmp_path / "lampclock"
+    shim.write_text(f"#!{sys.executable}\nimport sys\nfrom lampclock.cli import main\nsys.exit(main())\n",
+                    encoding="utf-8")
+    shim.chmod(0o755)
+    path = os.pathsep.join([os.path.dirname(sys.executable), os.environ.get("PATH", "")])
+    env = dict(os.environ, LAMPCLOCK=str(shim), PYTHONPATH=str(SRC), PATH=path, TMPDIR=str(tmp_path))
+    script = Path(__file__).parent / "console_script.sh"
+    proc = subprocess.run(["bash", str(script)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,14 +1,19 @@
 """Value semantics of the seven record types: equality, hashing, repr,
-immutability, pickling, copying and construction checks."""
+immutability, pickling, copying and construction checks; and the check
+that a state built by encode or parse_bits carries into render and decode."""
 
 import copy
 import pickle
 
 import pytest
 
+import lampclock.codec
 from lampclock import (
+    BERLIN,
+    TRIANGULAR,
     DisplayState,
     InvalidSchemeError,
+    InvalidStateError,
     Layout,
     Meridiem,
     RenderFormat,
@@ -19,8 +24,13 @@ from lampclock import (
     ShapeClass,
     TimeOfDay,
     ValidationReport,
+    decode,
+    encode,
     make_scheme,
+    parse_bits,
+    render,
 )
+from lampclock.codec import _Record, _set
 
 # (value, an equal value built afresh, a value differing in one field,
 #  the plain tuple of its fields, its exact repr)
@@ -222,3 +232,105 @@ class TestConstructors:
         assert str(report) == "capacity shortfall: scheme covers 6 minutes but the cycle is 720"
         shape = SchemeShape((2, 1), ShapeClass.IRREGULAR, 3)
         assert (shape.lamp_counts, shape.classification, shape.total_lamps) == ((2, 1), ShapeClass.IRREGULAR, 3)
+
+
+class _Tagged(_Record):
+    __slots__ = ("name", "_note")
+
+    def __init__(self, name, note=None):
+        _set(self, "name", name)
+        _set(self, "_note", note)
+
+
+def test_private_slots_are_derived_data_not_fields():
+    first, second = _Tagged("a", 1), _Tagged("a", 2)
+    assert _Tagged._fields == ("name",)
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) == "_Tagged(name='a')"
+    assert first.__reduce__() == (_Tagged, ("a",))
+    assert copy.copy(first)._note is None and pickle.loads(pickle.dumps(first))._note is None
+
+
+# Every lamp of the 04:49 state, AM, on the triangle: the paper's worked example
+BITS_04_49 = "0/11/100/1110/10000"
+TWELVE_HOUR_FIVES = make_scheme("x", [5, 5, 5, 5], 720)  # 1296 states on a 720-minute cycle
+
+
+@pytest.mark.parametrize("build", [
+    lambda: encode(TimeOfDay(289), TRIANGULAR),
+    lambda: parse_bits(BITS_04_49, TRIANGULAR, Meridiem.AM),
+], ids=["encode", "parse_bits"])
+def test_checked_state_is_the_hand_built_value(build):
+    state, by_hand = build(), DisplayState((0, 2, 1, 3, 1), Meridiem.AM)
+    assert state == by_hand and by_hand == state and hash(state) == hash(by_hand)
+    assert repr(state) == repr(by_hand)
+    assert state.__reduce__() == by_hand.__reduce__()
+    clones = [pickle.loads(pickle.dumps(state, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones + [copy.copy(state), copy.deepcopy(state)]:
+        assert type(clone) is DisplayState and clone == by_hand and hash(clone) == hash(by_hand)
+        assert clone._scheme is None  # a copy carries no check: it is checked again in full
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The number of full state checks so far: each ends in one call to _check_meridiem."""
+    calls = []
+    real = lampclock.codec._check_meridiem
+    monkeypatch.setattr(lampclock.codec, "_check_meridiem", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_state_is_checked_once_per_scheme_object(full_checks):
+    scheme, equal = TWELVE_HOUR_FIVES, make_scheme("x", [5, 5, 5, 5], 720)
+    assert scheme == equal and scheme is not equal
+    state = encode(TimeOfDay(289), scheme)
+    parsed = parse_bits(render(state, scheme, RenderSpec(RenderFormat.BITS)), scheme, Meridiem.AM)
+    for fmt in RenderFormat:
+        render(state, scheme, RenderSpec(fmt))
+        render(parsed, scheme, RenderSpec(fmt))
+    assert decode(state, scheme) == decode(parsed, scheme) == TimeOfDay(289)
+    assert full_checks == []
+    assert decode(state, equal) == decode(parsed, equal) == TimeOfDay(289)
+    assert decode(copy.copy(state), scheme) == TimeOfDay(289)
+    assert render(pickle.loads(pickle.dumps(parsed)), scheme, RenderSpec(RenderFormat.BITS))
+    assert len(full_checks) == 4
+
+
+@pytest.mark.parametrize("fmt", list(RenderFormat))
+def test_a_state_encoded_for_one_scheme_does_not_fit_another(fmt):
+    with pytest.raises(InvalidStateError) as info:
+        render(encode(TimeOfDay(289), TRIANGULAR), BERLIN, RenderSpec(fmt, Layout.LEFT_ALIGNED))
+    assert str(info.value) == "state has 5 digits, scheme 'berlin' has 4 rows"
+
+
+@pytest.mark.parametrize("scheme, bits, meridiem, other, message", [
+    (TWELVE_HOUR_FIVES, "11111/00000/00000/00000", Meridiem.AM, make_scheme("y", [4, 4, 11, 4], 720),
+     "row 1 shows 5 lit lamps but only has 4"),
+    (TWELVE_HOUR_FIVES, "00000/11111/00000/00000", Meridiem.AM, make_scheme("y", [5, 4, 5, 5], 720),
+     "row 2 shows 5 lit lamps but only has 4"),
+    (BERLIN, "0000/0000/00000000000/1000", None, make_scheme("y", [4, 4, 11, 4], 720),
+     "scheme 'y' is a 12-hour face; an AM/PM flag is required"),
+    (TWELVE_HOUR_FIVES, "00000/00000/00000/10000", Meridiem.PM, make_scheme("y", [5, 5, 5, 11], 1440),
+     "scheme 'y' does not use an AM/PM flag"),
+    (TRIANGULAR, BITS_04_49, Meridiem.AM, TWELVE_HOUR_FIVES, "state has 5 digits, scheme 'x' has 4 rows"),
+])
+def test_a_parsed_state_does_not_fit_another_scheme(scheme, bits, meridiem, other, message):
+    state = parse_bits(bits, scheme, meridiem)
+    with pytest.raises(InvalidStateError) as info:
+        decode(state, other)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scheme, bits, meridiem, message", [
+    (BERLIN, "1111/1111/11111111111/1111", None, "state decodes to 1499 minutes, past the end of the day"),
+    (TWELVE_HOUR_FIVES, "11111/11111/11111/11111", Meridiem.AM,
+     "state shows 1295 minutes, outside the 720-minute cycle of scheme 'x'"),
+    (TWELVE_HOUR_FIVES, "11111/11111/11111/11111", Meridiem.PM,
+     "state decodes to 2015 minutes, past the end of the day"),
+])
+def test_a_parsed_surplus_state_is_still_no_time(scheme, bits, meridiem, message):
+    state = parse_bits(bits, scheme, meridiem)
+    with pytest.raises(InvalidStateError) as info:
+        decode(state, scheme)
+    assert str(info.value) == message
+    assert render(state, scheme, RenderSpec(RenderFormat.JSON)).endswith('"time": null}')

@@ -146,12 +146,13 @@ class TestParseBits:
 @given(valid_schemes(), st.data())
 def test_each_row_reports_its_first_broken_rule(scheme, data):
     # width comes first, then characters; without its own width test, a row of n + 1 ones
-    # would pass for n lamps, as "1" * (n + 1) + "0" * -1 is its canonical form
+    # would pass for n lamps, as it is left-filled
     meridiem = Meridiem.AM if scheme.has_meridiem else None
-    digits = [data.draw(st.integers(0, n)) for n in scheme.lamp_counts]
-    rows = ["1" * d + "0" * (n - d) for d, n in zip(digits, scheme.lamp_counts)]
+    lamp_counts = tuple(row.lamp_count for row in scheme.rows)
+    digits = [data.draw(st.integers(0, n)) for n in lamp_counts]
+    rows = ["1" * d + "0" * (n - d) for d, n in zip(digits, lamp_counts)]
     assert parse_bits("/".join(rows), scheme, meridiem).digits == tuple(digits)
-    for k, (row, n) in enumerate(zip(rows, scheme.lamp_counts), start=1):
+    for k, (row, n) in enumerate(zip(rows, lamp_counts), start=1):
         def parse_with(bad):
             return parse_bits("/".join(rows[:k - 1] + [bad] + rows[k:]), scheme, meridiem)
         for bad in (row + "1", row + "0", "1" * (n + 1), row[:-1], row + "2"):
@@ -616,7 +617,7 @@ def test_every_format_renders_and_reads_back(pair, fmt, layout, use_color):
     state = encode(t, scheme)
     out = render(state, scheme, RenderSpec(format=fmt, layout=layout, use_color=use_color))
     if fmt is RenderFormat.SVG:
-        assert len(list(ET.fromstring(out))) == sum(scheme.lamp_counts)
+        assert len(list(ET.fromstring(out))) == sum(row.lamp_count for row in scheme.rows)
     elif fmt is RenderFormat.BITS:
         back = parse_bits(out, scheme, state.meridiem)
         assert back == state and decode(back, scheme) == t
