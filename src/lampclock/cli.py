@@ -159,7 +159,7 @@ def cmd_schemes(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
-    scheme = resolve_scheme(args.scheme_file or args.scheme)
+    scheme = resolve_scheme(args.scheme_file if args.scheme_file is not None else args.scheme)
     # resolve_scheme only returns valid schemes, so the report always reads "ok"
     print(f"{scheme.name}: {validate(scheme)}", file=out)
     return EXIT_OK

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from enum import Enum
 from math import comb, gcd, prod
 
-from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _Record
+from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _new, _Record
 from .catalog import make_scheme
 from .errors import EnumerationCapError
 
@@ -54,9 +54,7 @@ class SchemeShape(_Record):
 _TRIANGULAR, _RECTANGULAR, _IRREGULAR = ShapeClass
 _set_lamp_counts, _set_classification, _set_total_lamps = (
     getattr(SchemeShape, name).__set__ for name in SchemeShape.__slots__)
-_new = object.__new__
 
-# Trial divisors, tried only when n shares a factor with their product. What is left is above 37.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 # (bound, bases): Miller-Rabin on these bases is exact below bound, which fools them (sources in README.md).
@@ -94,21 +92,23 @@ def _is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """A proper factor of the composite n (Pollard's rho, Brent 1980)."""
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
+    """A proper factor of the composite n (Pollard's rho, Brent 1980), with two steps per reduction mod n:
+    rho compares values only modulo an unknown prime factor of n, and the unreduced odd step z is congruent
+    mod n to the reduced one, so each gcd is, up to sign, the one a loop that reduces every step takes."""
+    for c in range(1, n):  # c + n repeats the sequence of c, so each c is tried once and the loop ends
+        y, r, q, g = 2, 2, 1, 1  # r is a power of two from 2, so every round and batch is whole pairs
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for _ in range(r >> 1):
+                z = y * y + c
+                y = (z * z + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                for _ in range(min(_RHO_BATCH, r - k) >> 1):
+                    z = y * y + c
+                    y = (z * z + c) % n
+                    q = q * (x - z) * (x - y) % n
                 g = gcd(q, n)
                 k += _RHO_BATCH
             r *= 2
@@ -116,7 +116,7 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
 

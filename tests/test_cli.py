@@ -325,6 +325,11 @@ class TestValidate:
         assert main([*argv, "a" * 5000]) == EXIT_SCHEME
         assert "unknown scheme" in capsys.readouterr().err
 
+    def test_empty_path_is_an_unknown_scheme_not_the_default(self, capsys):
+        # an empty positional is a path given, not none: it must not fall back to --scheme's default
+        assert main(["validate", ""]) == EXIT_SCHEME
+        assert capsys.readouterr() == ("", "error: unknown scheme '' (built-ins: berlin, triangular)\n")
+
     def test_missing_file_is_named_as_given(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["validate", "./nowhere.json"]) == EXIT_SCHEME

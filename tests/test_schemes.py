@@ -20,7 +20,7 @@ from lampclock import (
     validate,
 )
 import lampclock.schemes as schemes
-from lampclock.schemes import _MR_TIERS, _factorize, _is_prime
+from lampclock.schemes import _MR_TIERS, _factorize, _is_prime, _pollard_brent
 from oracles import (is_prime, lucas_proves_prime, ordered_factorization_count,
                      ordered_factorization_count_by_exponents, ordered_factorizations, prime_sieve, shape_class)
 
@@ -29,6 +29,33 @@ def enumerated_shape(counts):
     """The shape that ``enumerate_shapes`` lists for this layout, among those of its state count."""
     [shape] = [s for s in enumerate_shapes(math.prod(c + 1 for c in counts)) if s.lamp_counts == counts]
     return shape
+
+
+def one_step_rho(n):
+    """The reference for ``_pollard_brent``: Brent's loop on the same schedule (r from 2, batches of
+    ``_RHO_BATCH``), reducing mod n at every step; the two-step loop must return the same factor."""
+    for c in range(1, n):
+        y, r, q, g = 2, 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, schemes._RHO_BATCH):
+                ys = y
+                for _ in range(min(schemes._RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                if g > 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 class TestShapeClasses:
@@ -269,12 +296,32 @@ class TestFactorize:
         3825123056546413051,
         999983**2, 1000003**2, 999983**3, 1000003**3,
         2147483647 * 2147483629, 2147483659 * 2147483647,  # two primes near 2**31
+        (2**32 - 5) * (2**32 - 17), (2**32 - 5) ** 2,  # the hardest below 2**64: two primes near 2**32
     ])
     def test_product_of_trial_division_primes(self, n):
         factors = _factorize(n)
         assert math.prod(p**e for p, e in factors.items()) == n
         assert all(is_prime(p) for p in factors)
         assert list(factors) == sorted(factors)
+
+    def test_pollard_brent_gives_the_one_step_proper_divisor_below_200000(self):
+        # every odd composite with no prime factor up to 37, as _factorize passes them;
+        # tests/check_pollard_brent.py sweeps the same set below 10**7
+        sieve = prime_sieve(200_000)
+        composites = [n for n in range(3, 200_000, 2) if not sieve[n] and all(n % p for p in range(3, 38, 2))]
+        assert len(composites) == 11_798
+        factors = {n: _pollard_brent(n) for n in composites}
+        assert [n for n, d in factors.items() if not 1 < d < n or n % d] == []
+        assert [n for n, d in factors.items() if d != one_step_rho(n)] == []
+
+    # The gcds in the order taken. 2021: the third batch's gcd is n, and the replay's first step finds 43.
+    # 2537: the replay's first step gives n too, so c moves from 1 to 2, whose second batch finds 43.
+    @pytest.mark.parametrize("n, gcds", [(2021, [1, 1, 2021, 43]), (2537, [1, 1, 2537, 2537, 1, 43])])
+    def test_pollard_brent_replays_an_overshot_batch_and_moves_to_the_next_c(self, monkeypatch, n, gcds):
+        taken = []
+        monkeypatch.setattr(schemes, "gcd", lambda a, b: taken.append(math.gcd(a, b)) or taken[-1])
+        assert _pollard_brent(n) == 43
+        assert taken == gcds
 
     def test_largest_prime_below_2_to_the_64(self):
         n = 2**64 - 59
