@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: digit vectors are
 found by exhaustive search over every displayable state, ordered
 factorizations are counted by trying every integer factor directly, and
 primes are recognized by trial division, a sieve or Lucas's converse of
-Fermat's theorem, never by Miller-Rabin.
+Fermat's theorem, never by Miller-Rabin. The SVG of a face is drawn from its
+stated geometry, one lamp at a time, each coordinate an exact ratio of integers.
 """
 
 import json
@@ -125,3 +126,48 @@ def json_render(name: str, digits: tuple[int, ...], meridiem: str | None, minute
         "meridiem": meridiem,
         "time": f"{minutes // 60:02d}:{minutes % 60:02d}" if minutes < 1440 and shown < cycle else None,
     })
+
+
+def svg_render(lamp_counts: list[int], digits: tuple[int, ...], meridiem: str | None, layout: str) -> str:
+    """The SVG of a state by its geometry. Each lamp owns a 40 px square cell; rows run top to
+    bottom and lamps left to right, one shape per lamp. A lamp is a circle of radius 16 at the
+    centre of its cell, and a row's cells are centred over the widest row (``"triangle"``) or
+    flush left (``"left"``). In the ``"berlin"`` layout a row's lamps are rectangles that split
+    the image's width into equal cells, each inset by 2 px on every side, so 4 px gaps.
+
+    A row's lit lamps are its leftmost ``digit``: green for AM, red for PM and, with no meridiem,
+    yellow but for every third lamp of an 11-lamp row, which is red. Unlit lamps are #dddddd.
+    A whole number is written as an integer, any other to 6 significant digits.
+    """
+    pitch, radius, gap = 40, 16, 2
+    widest = max(lamp_counts)
+    width, height = widest * pitch, len(lamp_counts) * pitch
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+             f'viewBox="0 0 {width} {height}">']
+    for row, (lamps, lit) in enumerate(zip(lamp_counts, digits)):
+        top = row * pitch
+        missing = (widest - lamps) * pitch if layout == "triangle" else 0  # half of it is the row's indent
+        for k in range(lamps):
+            if k >= lit:
+                fill = "#dddddd"
+            elif meridiem is not None:
+                fill = "green" if meridiem == "AM" else "red"
+            else:
+                fill = "red" if lamps == 11 and k % 3 == 2 else "yellow"
+            if layout == "berlin":  # cell k spans k * width / lamps to (k + 1) * width / lamps
+                lines.append(f'  <rect x="{_ratio(k * width + gap * lamps, lamps)}" y="{top + gap}" '
+                             f'width="{_ratio(width - 2 * gap * lamps, lamps)}" height="{pitch - 2 * gap}" '
+                             f'fill="{fill}"/>')
+            else:  # (indent + k * pitch + pitch / 2) * 2
+                centre = missing + (2 * k + 1) * pitch
+                lines.append(f'  <circle cx="{_ratio(centre, 2)}" cy="{top + pitch // 2}" r="{radius}" '
+                             f'fill="{fill}"/>')
+    return "\n".join(lines) + "\n</svg>\n"
+
+
+def _ratio(numerator: int, denominator: int) -> str:
+    """numerator / denominator as SVG text: an integer when whole, else 6 significant digits."""
+    if numerator % denominator == 0:
+        return str(numerator // denominator)
+    return f"{numerator / denominator:g}"

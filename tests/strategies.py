@@ -25,3 +25,12 @@ def scheme_and_time(draw) -> tuple[RowScheme, TimeOfDay]:
     else:
         upper = scheme.cycle_minutes - 1
     return scheme, TimeOfDay(draw(st.integers(min_value=0, max_value=upper)))
+
+
+@st.composite
+def faces_of(draw, lamp_lists) -> RowScheme:
+    """A face on lamp counts drawn from ``lamp_lists``: on a 720- or 1440-minute cycle where its
+    capacity covers one, else on its capacity."""
+    lamps = draw(lamp_lists)
+    capacity = prod(c + 1 for c in lamps)
+    return make_scheme("drawn", lamps, draw(st.sampled_from([c for c in (720, 1440) if c <= capacity] or [capacity])))

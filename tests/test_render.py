@@ -35,8 +35,8 @@ from lampclock import (
 )
 from lampclock.codec import MAX_LAMPS_PER_ROW
 from lampclock.render import ANSI_COLOR_CODES, UNLIT_SVG_FILL, default_layout
-from oracles import json_render
-from strategies import scheme_and_time, valid_schemes
+from oracles import json_render, svg_render
+from strategies import faces_of, scheme_and_time, valid_schemes
 
 ANSI_ESCAPES = re.compile(r"\x1b\[[0-9;]*m")
 
@@ -343,6 +343,26 @@ class TestSvg:
         spec = RenderSpec(format=RenderFormat.SVG, layout=Layout.BERLIN_BLOCKS)
         with pytest.raises(RenderError):
             render(state_at("04:49"), TRIANGULAR, spec)
+
+
+# Faces for the SVG oracle: the shared strategy's, and faces whose rows reach 12 lamps, about half
+# of them 11-lamp rows, where the accent applies; 4-row faces are the only ones the block layout takes
+lamps_up_to_12 = st.one_of(st.just(11), st.integers(1, 12))
+SVG_FACES = st.one_of(valid_schemes(), faces_of(st.lists(lamps_up_to_12, min_size=1, max_size=5)),
+                      faces_of(st.lists(lamps_up_to_12, min_size=4, max_size=4)))
+
+
+@given(SVG_FACES, st.data(), st.booleans())
+def test_svg_matches_the_geometry_oracle(scheme, data, use_color):
+    lamps = [row.lamp_count for row in scheme.rows]
+    layouts = list(Layout) if len(lamps) == 4 else [Layout.TRIANGLE_CENTERED, Layout.LEFT_ALIGNED]
+    layout = data.draw(st.sampled_from(layouts))
+    digits = data.draw(st.tuples(*(st.integers(0, n) for n in lamps)))
+    meridiem = data.draw(st.sampled_from(list(Meridiem))) if scheme.has_meridiem else None
+    svg = render(DisplayState(digits, meridiem), scheme, RenderSpec(RenderFormat.SVG, layout, use_color))
+    assert svg == svg_render(lamps, digits, meridiem and meridiem.value, layout.value)
+    shape = "rect" if layout is Layout.BERLIN_BLOCKS else "circle"
+    assert [element.tag for element in ET.fromstring(svg)] == [f"{{http://www.w3.org/2000/svg}}{shape}"] * sum(lamps)
 
 
 class TestExactBytes:
