@@ -17,14 +17,15 @@ each factor f of d, ascending, as a first row, followed by each layout of
 d/f, built already and in order. N has at most 256 divisors under the cap,
 so the walk makes at most 32,640 divisibility tests, one per pair f <= d
 above 1, and keeps at most H(N) layouts of the divisors below N, freed
-before any shape is built.
+before any shape is built. The shapes are made bare, then filled by one map per slot.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
-from math import comb, gcd, prod
+from itertools import repeat
+from math import comb, factorial, gcd, prod
 
 from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _new, _Record
 from .catalog import make_scheme
@@ -52,6 +53,7 @@ class SchemeShape(_Record):
 
 # Module names for the hot paths (codec's rule at _AM): the members, and the slots' setters (one call each)
 _TRIANGULAR, _RECTANGULAR, _IRREGULAR = ShapeClass
+_IRREGULARS = repeat(_IRREGULAR)  # endless and stateless: map stops at the end of the shapes
 _set_lamp_counts, _set_classification, _set_total_lamps = (
     getattr(SchemeShape, name).__set__ for name in SchemeShape.__slots__)
 
@@ -63,19 +65,13 @@ _MR_TIERS = ((2_047, (2,)), (1_373_653, (2, 3)), (9_080_191, (31, 73)), (4_759_1
              (1_122_004_669_633, (2, 13, 23, 1_662_803)), (2_152_302_898_747, _SMALL_PRIMES[:5]),
              (3_474_749_660_383, _SMALL_PRIMES[:6]), (341_550_071_728_321, _SMALL_PRIMES[:7]),
              (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]), (MAX_TARGET, _SMALL_PRIMES))
+_MR_BOUNDS = [bound for bound, _ in _MR_TIERS]
 _RHO_BATCH = 64  # gcds are taken over products of this many differences
-
-
-def _check_target(target_states: int) -> None:
-    if type(target_states) is not int or not 2 <= target_states < MAX_TARGET:  # type(): not bool or float
-        raise ValueError(f"target_states must be an integer, at least 2 and below 2**64, got {target_states!r}")
 
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin for 37 < n < MAX_TARGET, with the fewest bases exact for n."""
-    for bound, bases in _MR_TIERS:
-        if n < bound:
-            break
+    bases = _MR_TIERS[bisect_right(_MR_BOUNDS, n)][1]  # the first tier whose bound is above n
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == d * 2**s with d odd
     d = (n - 1) >> s
     for a in bases:
@@ -122,21 +118,23 @@ def _pollard_brent(n: int) -> int:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization of 1 <= n < MAX_TARGET as {prime: exponent}, ascending by prime."""
+    """Prime factorization of a target as {prime: exponent}, ascending by prime; ValueError unless n is an
+    int in [2, MAX_TARGET)."""
+    if type(n) is not int or not 2 <= n < MAX_TARGET:  # type(): not bool or float
+        raise ValueError(f"target_states must be an integer, at least 2 and below 2**64, got {n!r}")
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES if gcd(n, _SMALL_PRODUCT) > 1 else ():  # no loop when no prime to 37 divides n
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
+    for m in pending:  # rho's two parts join the list behind m
         if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
         else:
             d = _pollard_brent(m)
             pending += (d, m // d)
-    return dict(sorted(factors.items()))
+    return dict(sorted(factors.items())) if len(pending) > 1 else factors  # only rho adds primes out of order
 
 
 def _shape_count(factors: dict[int, int]) -> int:
@@ -163,7 +161,6 @@ def _shape_count(factors: dict[int, int]) -> int:
 def count_shapes(target_states: int) -> int:
     """Number of row layouts with exactly ``target_states`` display states, its ordered
     factorizations into factors >= 2 (Kalmar's function H(n)), computed without building any."""
-    _check_target(target_states)
     return _shape_count(_factorize(target_states))
 
 
@@ -179,19 +176,18 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
     ``limit``, or ``MAX_SHAPE_LIMIT`` if smaller, :class:`EnumerationCapError` is
     raised before any shape is built.
     """
-    _check_target(target_states)
+    factors = _factorize(target_states)  # checks the target first
     if shape_filter is not None and not isinstance(shape_filter, ShapeClass):  # no coercion of "TRIANGULAR"
         raise ValueError(f"ShapeClass or None expected, got {shape_filter!r}")
     if type(limit) is not int or limit < 1:  # type(): not bool or float
         raise ValueError(f"limit must be an integer, at least 1, got {limit!r}")
-    factors = _factorize(target_states)
     limit = min(limit, MAX_SHAPE_LIMIT)
     if _shape_count(factors) > limit:
         raise EnumerationCapError(f"more than {limit} shapes for target {target_states}")
 
     # The asked-for shapes that are not irregular: (1..n) if N == (n+1)!, (f-1,)*k if N == f**k
     special = {}
-    if shape_filter is not _RECTANGULAR and (rows := is_triangular_feasible(target_states)):
+    if 2 in factors and shape_filter is not _RECTANGULAR and (rows := is_triangular_feasible(target_states)):
         special[tuple(range(1, rows + 1))] = _TRIANGULAR
     g = 1 if shape_filter is _TRIANGULAR else gcd(*factors.values())
     for k in range(g, 1, -1):  # N == f**k when k divides every exponent; larger k, smaller f
@@ -211,37 +207,40 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
     lamp_lists = layouts.pop(target_states)
     del layouts  # the shorter layouts, up to H(N) tuples, are freed before any shape is built
     # The list is in lexicographic order, so bisection finds the special layouts: no lookup per layout
-    places = {bisect_left(lamp_lists, lamps): cls for lamps, cls in special.items()} if special else {}
     if shape_filter is not None:  # IRREGULAR: the special layouts go before any shape is built
-        for i in sorted(places, reverse=True):
+        for i in sorted((bisect_left(lamp_lists, lamps) for lamps in special), reverse=True):
             del lamp_lists[i]
-        places = {}
-    shapes = []
-    irregular = _IRREGULAR
-    for lamps in lamp_lists:  # a bare shape filled through the setters with what the walk computed
-        shape = _new(SchemeShape)
-        _set_lamp_counts(shape, lamps)
-        _set_classification(shape, irregular)
-        _set_total_lamps(shape, sum(lamps))
-        shapes.append(shape)
-    for i, cls in places.items():
-        _set_classification(shapes[i], cls)
+        special = {}
+    # Bare shapes, then one C-level pass per slot: a setter returns None, so any() runs each map to its end
+    shapes = list(map(_new, repeat(SchemeShape, len(lamp_lists))))
+    any(map(_set_lamp_counts, shapes, lamp_lists))
+    any(map(_set_classification, shapes, _IRREGULARS))
+    any(map(_set_total_lamps, shapes, map(sum, lamp_lists)))
+    for lamps, cls in special.items():
+        _set_classification(shapes[bisect_left(lamp_lists, lamps)], cls)
     return shapes
 
 
 def is_triangular_feasible(target_states: int) -> int | None:
     """Row count n such that a triangle of 1..n lamps shows exactly
     ``target_states`` states, i.e. target_states == (n+1)!; None if no
-    such n exists."""
+    such n exists. The target's factors of 2 and its length are checked before a factorial is built,
+    and one is built at most."""
     if type(target_states) is not int or target_states < 2:  # no upper bound: (n+1)! for any n
         raise ValueError(f"target_states must be an integer of at least 2, got {target_states!r}")
     if target_states & 1:  # every (n+1)! from 2! up is even
         return None
-    fact, n = 2, 1  # (1+1)! with one row
-    while fact < target_states:
-        n += 1
-        fact *= n + 1
-    return n if fact == target_states else None
+    # m! has m - popcount(m) factors 2, a count that only an even m and m + 1 share, so the first m with the
+    # target's count is even; and m! has at least m * (bit_length(m) - 3) bits (Stirling), so a shorter
+    # target is neither m! nor (m + 1)!
+    twos = (target_states & -target_states).bit_length() - 1
+    m = twos + 1
+    while (found := m - m.bit_count()) < twos:
+        m += 1
+    if found > twos or m * (m.bit_length() - 3) >= target_states.bit_length():
+        return None
+    fact = factorial(m)
+    return m - 1 if fact == target_states else m if fact * (m + 1) == target_states else None
 
 
 def shape_to_scheme(shape: SchemeShape, base_unit: int = 1, cycle_minutes: int = 720,

@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -172,6 +173,9 @@ class TestEnumerateShapes:
         )
         got = [s.lamp_counts for s in enumerate_shapes(n)]
         assert got == expected  # same shapes, already in lexicographic order
+        # whole records: a slot that a fill pass missed raises AttributeError when compared
+        records = [SchemeShape(lamps, ShapeClass(shape_class(lamps)), sum(lamps)) for lamps in expected]
+        assert enumerate_shapes(n) == records
 
     @given(st.integers(min_value=2, max_value=400))
     def test_count_matches_oracle(self, n):
@@ -391,9 +395,12 @@ class TestTriangularFeasibility:
         # 10 hours of 100 minutes
         assert is_triangular_feasible(1000) is None
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 300))
     def test_recognizes_every_factorial(self, n):
-        assert is_triangular_feasible(math.factorial(n + 1)) == n
+        fact = math.factorial(n + 1)
+        assert is_triangular_feasible(fact) == n
+        assert is_triangular_feasible(fact + 2) is None  # one factor 2, as 2! has, and larger
+        assert fact == 2 or is_triangular_feasible(fact - 2) is None
 
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
@@ -406,6 +413,20 @@ class TestTriangularFeasibility:
 
     def test_has_no_upper_bound(self):
         assert is_triangular_feasible(math.factorial(21)) == 20  # past 2**64
+
+    def test_matches_the_factorials_below_200000(self):
+        rows = {math.factorial(n + 1): n for n in range(1, 9)}  # 9! = 362880
+        assert [t for t in range(2, 200_000) if is_triangular_feasible(t) != rows.get(t)] == []
+
+    # a loop over the factorials below the target took 1.4 s, 5.5 s and 2.5 s on these
+    @pytest.mark.parametrize("build, rows", [(lambda: 2**800_000, None), (lambda: 2**1_600_000, None),
+                                             (lambda: math.factorial(100_001), 100_000)],
+                             ids=["2**800000", "2**1600000", "100001!"])
+    def test_huge_targets_take_under_a_second(self, build, rows):
+        target = build()  # not timed
+        start = time.perf_counter()
+        assert is_triangular_feasible(target) == rows
+        assert time.perf_counter() - start < 1
 
 
 class TestShapeToScheme:
