@@ -1,8 +1,10 @@
 """Command-line interface: show, tick, decode, schemes, validate.
 
-Exit codes: 0 on success, also when the reader of stdout goes away; 1 when
-stdout cannot be written; 2 for bad input (times, bit strings, flags, enumeration
-targets); 3 for scheme problems (unknown name, unreadable or invalid scheme file).
+Exit codes: 0 on success, also when the reader of stdout goes away, and when
+a ``tick`` redrawn in place on a terminal ends by Ctrl-C, SIGTERM or SIGHUP,
+with the cursor shown again; 1 when stdout cannot be written; 2 for bad input
+(times, bit strings, flags, enumeration targets); 3 for scheme problems (unknown
+name, unreadable or invalid scheme file).
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ def cmd_show(args: argparse.Namespace, out: TextIO) -> int:
     return run_tick(scheme, spec, source, 0, out, max_polls=1)
 
 
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
+
+
 def cmd_tick(
     args: argparse.Namespace,
     out: TextIO,
@@ -125,10 +131,20 @@ def cmd_tick(
     sleep: Callable[[float], None] = time.sleep,
     max_polls: int | None = None,
 ) -> int:
+    """The tick loop. While it redraws in place, SIGTERM and SIGHUP end it as Ctrl-C does, through
+    ``run_tick``'s clean way out; the handlers they had before are restored when it returns."""
     scheme, spec, source = _setup(args, out, source, max_polls)
     in_place = spec.format is RenderFormat.ANSI and out.isatty()
-    return run_tick(scheme, spec, source, args.interval, out,
-                    sleep=sleep, max_polls=max_polls, redraw_in_place=in_place)
+    saved = {}
+    if in_place:
+        import signal  # here, so that no other command pays for loading it
+        saved = {signum: signal.signal(signum, _interrupt) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    try:
+        return run_tick(scheme, spec, source, args.interval, out,
+                        sleep=sleep, max_polls=max_polls, redraw_in_place=in_place)
+    finally:
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
 
 
 def cmd_decode(args: argparse.Namespace, out: TextIO) -> int:

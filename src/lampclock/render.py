@@ -43,12 +43,10 @@ SVG_PITCH = 40  # even, so that circle centres (multiples of half the pitch) are
 # Module names for the hot path's enum members, by the rule stated at codec's _AM and _PM
 _ANSI, _BITS, _JSON = RenderFormat.ANSI, RenderFormat.BITS, RenderFormat.JSON
 _TRIANGLE, _LEFT, _BLOCKS = Layout.TRIANGLE_CENTERED, Layout.LEFT_ALIGNED, Layout.BERLIN_BLOCKS
-_SVG_PAINT = {c: c for c in ANSI_COLOR_CODES}  # an SVG lamp is filled with its color's name
-# ANSI cells, bracketed in the block layout: unlit by ``blocks``, lit by ``(blocks, use_color)`` and color
-_ANSI_UNLIT = {False: UNLIT_GLYPH, True: f"[{UNLIT_GLYPH}]"}
-_ANSI_PAINT = {(blocks, use_color): {c: unlit.replace(UNLIT_GLYPH, f"\x1b[{code}m{LIT_GLYPH}\x1b[0m" if use_color
-                                                      else LIT_GLYPH) for c, code in ANSI_COLOR_CODES.items()}
-               for blocks, unlit in _ANSI_UNLIT.items() for use_color in (False, True)}
+# ANSI cells by ``(blocks, use_color)``, then lamp color or None for unlit: bracketed in blocks, else ending in " "
+_ANSI_CELLS = {(blocks, use_color): {color: cell.format(f"\x1b[{code}m{LIT_GLYPH}\x1b[0m" if use_color else LIT_GLYPH)
+                                     for color, code in ANSI_COLOR_CODES.items()} | {None: cell.format(UNLIT_GLYPH)}
+               for blocks, cell in ((False, "{} "), (True, "[{}]")) for use_color in (False, True)}
 _lamp_count = attrgetter("lamp_count")
 _quote = None  # json.dumps's escaper, bound on the first JSON render so that only JSON loads json
 
@@ -85,7 +83,9 @@ def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
                          for digit, row in zip(state.digits, scheme.rows)])
     if spec.layout is _BLOCKS and len(scheme.rows) != 4:
         raise RenderError(f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}")
-    return (_render_ansi if fmt is _ANSI else _render_svg)(state, scheme, spec)
+    meridiem = state.meridiem  # which sets the one lit color, and whether 11-lamp rows are accented
+    color = DEFAULT_LIT_COLOR if meridiem is None else AM_COLOR if meridiem is _AM else PM_COLOR
+    return (_render_ansi if fmt is _ANSI else _render_svg)(state, scheme, spec, color, meridiem is None)
 
 
 def _render_json(state: DisplayState, scheme: RowScheme) -> str:
@@ -104,64 +104,64 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
             f'"meridiem": {meridiem}, "time": {time}}}')
 
 
-def _lit_cells(state: DisplayState, scheme: RowScheme, paint: dict[str, str]) -> list[list[str]]:
-    """Each row's lit cells, top row first, where ``paint`` maps each lamp color to its cell."""
-    meridiem = state.meridiem
-    if meridiem is not None:
-        cell = paint[AM_COLOR if meridiem is _AM else PM_COLOR]
-        return [[cell] * digit for digit in state.digits]
-    cell = paint[DEFAULT_LIT_COLOR]
-    accented = [cell, cell, paint[ACCENT_COLOR]] * 4  # an 11-lamp row's lit lamps are a slice of this
-    return [accented[:digit] if row.lamp_count == 11 else [cell] * digit
-            for digit, row in zip(state.digits, scheme.rows)]
-
-
-def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
+def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color: str, accent: bool) -> str:
     max_lamps = max(map(_lamp_count, scheme.rows))
     blocks = spec.layout is _BLOCKS
-    unlit, paint = _ANSI_UNLIT[blocks], _ANSI_PAINT[blocks, spec.use_color]
-
-    # Center each row over the widest row (the bottom row of a triangle),
-    # half a cell per lamp it lacks, unless the layout is left-aligned.
-    # Padding is computed from lamp counts, not rendered text, so that
-    # invisible ANSI escape bytes do not skew the alignment.
+    cells = _ANSI_CELLS[blocks, spec.use_color]
+    # Center each row over the widest row, half a cell per lamp it lacks, unless the layout is left-aligned:
+    # from lamp counts, not rendered text, so that invisible ANSI escape bytes do not skew the alignment.
     cell_width = 0 if spec.layout is _LEFT else 3 if blocks else 2
-    joiner = "" if blocks else " "
-    return "\n".join([
-        " " * ((max_lamps - row.lamp_count) * cell_width // 2)
-        + joiner.join(cells + [unlit] * (row.lamp_count - len(cells)))
-        for cells, row in zip(_lit_cells(state, scheme, paint), scheme.rows)
-    ])
+    cut = None if blocks else -1  # each cell ends in its joiner, which the last cell of a row drops
+    lit, unlit = cells[color], cells[None]
+    accented = [lit, lit, cells[ACCENT_COLOR]] * 4 if accent else None  # an accented row's lit cells are a prefix
+    lines = []
+    for digit, row in zip(state.digits, scheme.rows):
+        lamps = row.lamp_count
+        run = "".join(accented[:digit]) if lamps == 11 and accent else lit * digit
+        lines.append(" " * ((max_lamps - lamps) * cell_width // 2) + (run + unlit * (lamps - digit))[:cut])
+    return "\n".join(lines)
 
 
-def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
+def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color: str, accent: bool) -> str:
     pitch = SVG_PITCH
     max_lamps = max(map(_lamp_count, scheme.rows))
-    width = max_lamps * pitch
-    height = len(scheme.rows) * pitch
-    blocks = spec.layout is _BLOCKS
-    centered = spec.layout is _TRIANGLE
+    width, height = max_lamps * pitch, len(scheme.rows) * pitch
+    blocks, centered = spec.layout is _BLOCKS, spec.layout is _TRIANGLE
+    radius = f'" r="{pitch * 2 // 5}" fill="'
 
-    # one plain loop per row: a comprehension or range per row cost more than the row's lamps
-    shapes = ['<?xml version="1.0" encoding="UTF-8"?>\n'
-              f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-              f'viewBox="0 0 {width} {height}">']
+    # A lit run, then an unlit run, of position + fixed tail per row: a range per row costs more than its lamps
+    shapes = [f'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+              f'height="{height}" viewBox="0 0 {width} {height}">']
     add = shapes.append
-    for y, fills, row in zip(range(0, height, pitch), _lit_cells(state, scheme, _SVG_PAINT), scheme.rows):
+    for y, digit, row in zip(range(0, height, pitch), state.digits, scheme.rows):
         lamps = row.lamp_count
-        fills += [UNLIT_SVG_FILL] * (lamps - len(fills))
         if blocks:
             # ints, where the width divides evenly, print as :g prints them below 10**6, for a third of the cost
             cell, g = (width // lamps, "") if width % lamps == 0 else (width / lamps, "g")
             rest = f'" y="{y + 2}" width="{cell - 4:{g}}" height="{pitch - 4}" fill="'
-            for i, fill in enumerate(fills):
-                add(f'  <rect x="{i * cell + 2:{g}}{rest}{fill}"/>')
+            i, tail = 0, f'{rest}{color}"/>'
+            while i < digit:
+                add(f'  <rect x="{i * cell + 2:{g}}{tail}')
+                i += 1
+            tail = f'{rest}{UNLIT_SVG_FILL}"/>'
+            while i < lamps:
+                add(f'  <rect x="{i * cell + 2:{g}}{tail}')
+                i += 1
         else:
             cx = ((max_lamps - lamps) * pitch // 2 if centered else 0) + pitch // 2
-            rest = f'" cy="{y + pitch // 2}" r="{pitch * 2 // 5}" fill="'
-            for fill in fills:
-                add(f'  <circle cx="{cx}{rest}{fill}"/>')
+            lit_end, end = cx + digit * pitch, cx + lamps * pitch
+            rest = f'" cy="{y + pitch // 2}{radius}'
+            tail = f'{rest}{color}"/>'
+            while cx < lit_end:
+                add(f'  <circle cx="{cx}{tail}')
                 cx += pitch
+            tail = f'{rest}{UNLIT_SVG_FILL}"/>'
+            while cx < end:
+                add(f'  <circle cx="{cx}{tail}')
+                cx += pitch
+        if lamps == 11 and accent:  # every third lamp of the lit run just drawn turns red
+            for k in range(len(shapes) - lamps + 2, len(shapes) - lamps + digit, 3):
+                shapes[k] = shapes[k].replace(color, ACCENT_COLOR)
     add("</svg>\n")
     return "\n".join(shapes)
 

@@ -25,24 +25,30 @@ from oracles import ordered_factorizations, svg_render
 STEP = 60  # minutes between the sliced times of one face
 
 
-def main() -> int:
-    start = time.perf_counter()
+def sliced_states():
+    """Every face of the sweep, each at its slice of minutes: ``(i, lamps, cycle, minute, scheme, state,
+    layouts)`` with ``i`` the face's index and ``layouts`` every layout the face accepts."""
     faces = [(factors, cycle) for cycle in (720, 1440) for factors in ordered_factorizations(cycle)]
-    renders, wrong = 0, []
     for i, (factors, cycle) in enumerate(faces):
         lamps = [f - 1 for f in factors]
         scheme = make_scheme("sweep", lamps, cycle)
         layouts = list(Layout) if len(lamps) == 4 else [Layout.TRIANGLE_CENTERED, Layout.LEFT_ALIGNED]
-        minutes = sorted({0, 1439, *range(i * 7 % STEP, 1440, STEP)})
-        for minute in minutes:
-            state = encode(TimeOfDay(minute), scheme)
-            digits, meridiem = state.digits, state.meridiem
-            for layout in layouts:
-                spec = RenderSpec(RenderFormat.SVG, layout, use_color=i % 2 == 0)
-                expected = svg_render(lamps, digits, meridiem and meridiem.value, layout.value)
-                renders += 1
-                if render(state, scheme, spec) != expected:
-                    wrong.append((lamps, cycle, minute, layout.value))
+        for minute in sorted({0, 1439, *range(i * 7 % STEP, 1440, STEP)}):
+            yield i, lamps, cycle, minute, scheme, encode(TimeOfDay(minute), scheme), layouts
+
+
+def main() -> int:
+    start = time.perf_counter()
+    faces, renders, wrong = set(), 0, []
+    for i, lamps, cycle, minute, scheme, state, layouts in sliced_states():
+        faces.add(i)
+        meridiem = state.meridiem and state.meridiem.value
+        for layout in layouts:
+            spec = RenderSpec(RenderFormat.SVG, layout, use_color=i % 2 == 0)
+            expected = svg_render(lamps, state.digits, meridiem, layout.value)
+            renders += 1
+            if render(state, scheme, spec) != expected:
+                wrong.append((lamps, cycle, minute, layout.value))
     print(f"{len(faces)} faces, {renders} SVG renders checked against the oracle, {len(wrong)} mismatches, "
           f"{time.perf_counter() - start:.1f} s")
     if wrong:

@@ -5,7 +5,8 @@ found by exhaustive search over every displayable state, ordered
 factorizations are counted by trying every integer factor directly, and
 primes are recognized by trial division, a sieve or Lucas's converse of
 Fermat's theorem, never by Miller-Rabin. The SVG of a face is drawn from its
-stated geometry, one lamp at a time, each coordinate an exact ratio of integers.
+stated geometry, one lamp at a time, each coordinate an exact ratio of integers,
+and so is its terminal text, one glyph at a time.
 """
 
 import json
@@ -164,6 +165,38 @@ def svg_render(lamp_counts: list[int], digits: tuple[int, ...], meridiem: str | 
                 lines.append(f'  <circle cx="{_ratio(centre, 2)}" cy="{top + pitch // 2}" r="{radius}" '
                              f'fill="{fill}"/>')
     return "\n".join(lines) + "\n</svg>\n"
+
+
+def ansi_render(lamp_counts: list[int], digits: tuple[int, ...], meridiem: str | None, layout: str,
+                use_color: bool) -> str:
+    """The terminal text of a state by its geometry: one line per row, top to bottom, lamps left to
+    right, a row's leftmost ``digit`` lit (``●``) and the rest unlit (``○``). In ``"triangle"`` and
+    ``"left"`` a row's glyphs are joined by a space, a cell 2 columns wide; in ``"berlin"`` each is
+    bracketed, a cell 3 columns wide, with no joiner. ``"triangle"`` and ``"berlin"`` indent a row
+    by half a cell per lamp it lacks against the widest row, rounded down; ``"left"`` does not.
+
+    With color, a lit glyph is wrapped in its SGR code and a reset: 32 (green) for AM, 31 (red) for
+    PM and, with no meridiem, 33 (yellow) but for every third lamp of an 11-lamp row, 31 (red).
+    Unlit glyphs are never colored.
+    """
+    codes = {"green": 32, "red": 31, "yellow": 33}
+    cell = 3 if layout == "berlin" else 2
+    lines = []
+    for lamps, lit in zip(lamp_counts, digits):
+        glyphs = []
+        for k in range(lamps):
+            if k >= lit:
+                glyph = "○"
+            else:
+                if meridiem is not None:
+                    color = "green" if meridiem == "AM" else "red"
+                else:
+                    color = "red" if lamps == 11 and k % 3 == 2 else "yellow"
+                glyph = f"\x1b[{codes[color]}m●\x1b[0m" if use_color else "●"
+            glyphs.append(f"[{glyph}]" if layout == "berlin" else glyph)
+        indent = 0 if layout == "left" else (max(lamp_counts) - lamps) * cell // 2
+        lines.append(" " * indent + ("" if layout == "berlin" else " ").join(glyphs))
+    return "\n".join(lines)
 
 
 def _ratio(numerator: int, denominator: int) -> str:

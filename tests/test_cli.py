@@ -2,6 +2,8 @@ import io
 import itertools
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import time
@@ -433,6 +435,60 @@ class TestTick:
         text = out.getvalue()
         assert text.startswith("\x1b[?25l")  # cursor hidden while running
         assert text.endswith("\x1b[?25h")  # and restored on the way out
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+    def test_a_signal_ends_a_redrawn_tick_as_ctrl_c_does(self, signum):
+        received = []
+
+        def record(signum, frame):  # the test's own handler, which tick must swap out and then back in
+            received.append(signum)
+
+        previous = signal.signal(signum, record)
+        try:
+            out = TtyBuffer()
+            source = ScriptedTimeSource(map(TimeOfDay.parse, ["10:00", "10:01", "10:02"]))
+            code = cmd_tick(parse("tick"), out=out, source=source, sleep=lambda s: os.kill(os.getpid(), signum))
+            assert (code, received) == (EXIT_OK, [])
+            assert out.getvalue().count(CLEAR_AND_HOME) == 1  # ended at the first sleep
+            assert out.getvalue().endswith(SHOW_CURSOR)
+            assert signal.getsignal(signum) is record
+        finally:
+            signal.signal(signum, previous)
+
+    def test_sigterm_on_a_terminal_shows_the_cursor_and_exits_0(self):
+        import pty
+
+        argv = [sys.executable, "-m", "lampclock.cli", "tick", "--time", "04:49", "--interval", "60"]
+        pid, fd = pty.fork()
+        if pid == 0:  # the child: one tick process on the new terminal
+            try:
+                os.execve(sys.executable, argv, dict(os.environ, PYTHONPATH=str(SRC)))
+            finally:
+                os._exit(127)
+        seen, sent, closed = b"", False, False
+        deadline = time.monotonic() + 20
+        try:
+            while not closed and time.monotonic() < deadline:
+                # once a whole frame is drawn, the loop sleeps with its handlers in place
+                if not sent and b"\n" in seen.rpartition(CLEAR_AND_HOME.encode())[2]:
+                    os.kill(pid, signal.SIGTERM)
+                    sent = True
+                if select.select([fd], [], [], 0.1)[0]:
+                    try:
+                        chunk = os.read(fd, 4096)
+                    except OSError:  # EIO: the child has closed the terminal
+                        chunk = b""
+                    seen += chunk
+                    closed = not chunk
+        finally:
+            if not closed:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+            os.close(fd)
+        text = seen.decode()
+        assert sent, text
+        assert os.waitstatus_to_exitcode(status) == EXIT_OK, text
+        assert text.count(HIDE_CURSOR) == 1 and text.endswith(SHOW_CURSOR), text
 
     def test_interval_must_be_positive(self):
         assert main(["tick", "--interval", "0"]) == EXIT_INPUT
