@@ -16,6 +16,7 @@ from .codec import (
     decode,
     derive_units,
     encode,
+    parse_bits,
     validate,
 )
 from .catalog import BERLIN, BUILTIN_SCHEMES, TRIANGULAR, load_scheme, make_scheme, resolve_scheme
@@ -28,7 +29,7 @@ from .errors import (
     MonotoneFillError,
     RenderError,
 )
-from .render import Layout, RenderFormat, RenderSpec, parse_bits, render
+from .render import Layout, RenderFormat, RenderSpec, render
 from .timesource import ScriptedTimeSource, SystemTimeSource, TimeSource
 
 __version__ = "0.1.0"

@@ -18,9 +18,9 @@ from typing import Callable, TextIO
 
 from .catalog import resolve_scheme
 from .codec import (DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, Meridiem, RowScheme, TimeOfDay, decode,
-                    encode, validate)
+                    encode, parse_bits, validate)
 from .errors import ClockError, InvalidSchemeError
-from .render import Layout, RenderFormat, RenderSpec, default_layout, parse_bits, render
+from .render import Layout, RenderFormat, RenderSpec, default_layout, render
 from .timesource import ScriptedTimeSource, SystemTimeSource, TimeSource
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def run_tick(
     max_polls: int | None = None,
     redraw_in_place: bool = False,
 ) -> int:
-    """Poll the time source and emit one frame per poll.
+    """Poll the time source and emit one frame per poll, sleeping ``interval`` only between polls.
 
     The state is re-encoded and re-rendered only when the displayed
     minute changes; unchanged minutes re-emit the cached frame. The loop
@@ -84,11 +84,12 @@ def run_tick(
     """
     last_minute: int | None = None
     frame = ""
-    polls = 0
     try:
         if redraw_in_place:
             out.write(HIDE_CURSOR)
-        while max_polls is None or polls < max_polls:
+        for poll in itertools.count() if max_polls is None else range(max_polls):
+            if poll:
+                sleep(interval)
             t = source.now()
             if t is None:
                 break
@@ -99,9 +100,6 @@ def run_tick(
                 out.write(CLEAR_AND_HOME)
             out.write(frame)
             out.flush()
-            polls += 1
-            if max_polls is None or polls < max_polls:
-                sleep(interval)
     except KeyboardInterrupt:
         pass
     finally:
@@ -120,10 +118,6 @@ def cmd_show(args: argparse.Namespace, out: TextIO) -> int:
     return run_tick(scheme, spec, source, 0, out, max_polls=1)
 
 
-def _interrupt(signum: int, frame: object) -> None:
-    raise KeyboardInterrupt
-
-
 def cmd_tick(
     args: argparse.Namespace,
     out: TextIO,
@@ -131,20 +125,20 @@ def cmd_tick(
     sleep: Callable[[float], None] = time.sleep,
     max_polls: int | None = None,
 ) -> int:
-    """The tick loop. While it redraws in place, SIGTERM and SIGHUP end it as Ctrl-C does, through
-    ``run_tick``'s clean way out; the handlers they had before are restored when it returns."""
+    """The tick loop. While it redraws in place, SIGTERM and SIGHUP take Ctrl-C's handler, so they end it
+    through ``run_tick``'s clean way out; the handlers they had before are restored when it returns."""
     scheme, spec, source = _setup(args, out, source, max_polls)
     in_place = spec.format is RenderFormat.ANSI and out.isatty()
     saved = {}
     if in_place:
         import signal  # here, so that no other command pays for loading it
-        saved = {signum: signal.signal(signum, _interrupt) for signum in (signal.SIGTERM, signal.SIGHUP)}
+        saved = {sig: signal.signal(sig, signal.default_int_handler) for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
         return run_tick(scheme, spec, source, args.interval, out,
                         sleep=sleep, max_polls=max_polls, redraw_in_place=in_place)
     finally:
-        for signum, handler in saved.items():
-            signal.signal(signum, handler)
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
 
 
 def cmd_decode(args: argparse.Namespace, out: TextIO) -> int:

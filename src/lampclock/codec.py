@@ -6,7 +6,7 @@ digit's base is ``lamp_count + 1`` (all off through all on). Row units are
 locked together by a recurrence: one lamp in a row is worth one more than
 a full row below it, i.e. ``unit[k-1] = (lamp_count[k] + 1) * unit[k]``.
 Encoding a time is therefore plain greedy division by place values, and
-decoding is the weighted digit sum.
+decoding is the weighted digit sum, of a state or of its bit string.
 
 Schemes whose cycle is 720 minutes cover a 12-hour face and carry an
 AM/PM meridiem flag on their display states; 1440-minute schemes cover
@@ -19,7 +19,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable
 
-from .errors import InvalidSchemeError, InvalidStateError
+from .errors import BitsParseError, InvalidSchemeError, InvalidStateError, MonotoneFillError
 
 MINUTES_PER_DAY = 1440
 HALF_DAY = 720
@@ -284,6 +284,39 @@ def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
     time = _new(TimeOfDay)
     _set_minutes(time, total)  # an int in [0, 1440): TimeOfDay's own check would pass
     return time
+
+
+def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -> DisplayState:
+    """Parse a '/'-separated bit string back into a display state.
+
+    Bit strings carry no meridiem, so for a 12-hour scheme the flag must
+    be supplied by the caller. Rows must match the scheme's widths exactly
+    and be monotonically left-filled.
+    """
+    rows = text.split("/")
+    if len(rows) != len(scheme.rows):
+        raise BitsParseError(f"expected {len(scheme.rows)} rows separated by '/', got {len(rows)}")
+
+    digits, units = [], 0
+    for bits, row in zip(rows, scheme.rows):
+        n = row.lamp_count
+        zeros = bits.lstrip("1")  # what follows the lit lamps, all 0s in a left-filled row
+        if len(bits) != n or zeros.strip("0"):  # the happy path's one test of all 3 rules
+            k = scheme.rows.index(row) + 1  # rows differ in unit_value, so this is the row's own number
+            if len(bits) != n:
+                raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
+            if bits.strip("01"):
+                raise BitsParseError(f"row {k} contains characters other than 0/1: {bits!r}")
+            raise MonotoneFillError(
+                k, f"row {k} is not left-filled: {bits!r} has a lit lamp right of an unlit one")
+        ones = n - len(zeros)
+        digits.append(ones)
+        units = units * (n + 1) + ones  # Horner's rule on the unit recurrence: the weighted digit sum
+
+    _check_meridiem(scheme, meridiem)
+    if meridiem is not None and type(meridiem) is not Meridiem:  # as DisplayState checks it
+        raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
+    return _state(tuple(digits), meridiem, scheme, units)
 
 
 def _check_state(state: DisplayState, scheme: RowScheme) -> int:

@@ -1,9 +1,9 @@
 """Serialization of display states: terminal art, SVG, bit strings, JSON.
 
-All formats honor monotone left-fill: a row's lit lamps are always its
-leftmost ones, so the canonical bit string of a row is '1' * digit
-followed by '0' * rest, and no renderer can emit a lit lamp to the right
-of an unlit one.
+``render`` checks a state against its scheme once, at its entry, then serializes it. All formats
+honor monotone left-fill: a row's lit lamps are always its leftmost ones, so the canonical bit
+string of a row is '1' * digit followed by '0' * rest, and no renderer can emit a lit lamp to the
+right of an unlit one.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 
-from .codec import (_AM, DisplayState, Meridiem, RowScheme, _check_meridiem, _check_state, _Record, _set, _state,
-                    decode)
-from .errors import BitsParseError, InvalidStateError, MonotoneFillError, RenderError
+from .codec import _AM, DisplayState, RowScheme, _check_state, _Record, _set, decode
+from .errors import InvalidStateError, RenderError
 
 
 class RenderFormat(Enum):
@@ -73,11 +72,11 @@ def default_layout(scheme: RowScheme) -> Layout:
 
 
 def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
-    """Serialize a state in the format chosen by ``spec``."""
+    """Check the state against the scheme, then serialize it in the format chosen by ``spec``."""
+    _check_state(state, scheme)
     fmt = spec.format
     if fmt is _JSON:
-        return _render_json(state, scheme)  # whose call to decode checks the state
-    _check_state(state, scheme)
+        return _render_json(state, scheme)
     if fmt is _BITS:
         return "/".join(["1" * digit + "0" * (row.lamp_count - digit)
                          for digit, row in zip(state.digits, scheme.rows)])
@@ -94,10 +93,8 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
         from json.encoder import encode_basestring_ascii as _quote
     try:
         time = f'"{decode(state, scheme)}"'
-    except InvalidStateError:  # a surplus state, which is no time, or one that does not fit its scheme
+    except InvalidStateError:  # a surplus state, which is no time: render checked that the state fits
         time = "null"
-    if time == "null":  # outside the except, so that a state that does not fit raises decode's error alone
-        _check_state(state, scheme)
     meridiem = state.meridiem
     meridiem = "null" if meridiem is None else '"AM"' if meridiem is _AM else '"PM"'
     return (f'{{"scheme": {_quote(scheme.name)}, "digits": [{", ".join(map(str, state.digits))}], '
@@ -164,36 +161,3 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color:
                 shapes[k] = shapes[k].replace(color, ACCENT_COLOR)
     add("</svg>\n")
     return "\n".join(shapes)
-
-
-def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -> DisplayState:
-    """Parse a '/'-separated bit string back into a display state.
-
-    Bit strings carry no meridiem, so for a 12-hour scheme the flag must
-    be supplied by the caller. Rows must match the scheme's widths exactly
-    and be monotonically left-filled.
-    """
-    rows = text.split("/")
-    if len(rows) != len(scheme.rows):
-        raise BitsParseError(f"expected {len(scheme.rows)} rows separated by '/', got {len(rows)}")
-
-    digits, units = [], 0
-    for bits, row in zip(rows, scheme.rows):
-        n = row.lamp_count
-        zeros = bits.lstrip("1")  # what follows the lit lamps, all 0s in a left-filled row
-        if len(bits) != n or zeros.strip("0"):  # the happy path's one test of all 3 rules
-            k = scheme.rows.index(row) + 1  # rows differ in unit_value, so this is the row's own number
-            if len(bits) != n:
-                raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
-            if bits.strip("01"):
-                raise BitsParseError(f"row {k} contains characters other than 0/1: {bits!r}")
-            raise MonotoneFillError(
-                k, f"row {k} is not left-filled: {bits!r} has a lit lamp right of an unlit one")
-        ones = n - len(zeros)
-        digits.append(ones)
-        units = units * (n + 1) + ones  # Horner's rule on the unit recurrence: the weighted digit sum
-
-    _check_meridiem(scheme, meridiem)
-    if meridiem is not None and type(meridiem) is not Meridiem:  # as DisplayState checks it
-        raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
-    return _state(tuple(digits), meridiem, scheme, units)

@@ -111,15 +111,15 @@ def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(lampclock, "MAX_TARGET")
 
 
-# validate's one rule needs one record, decode alone reads a state's time, and no code uses the
-# shape, time and scheme helpers that only tests called
+# validate's one rule needs one record, decode alone reads a state's time, codec alone reads a bit
+# string back, and no code uses the shape, time and scheme helpers that only tests called
 @pytest.mark.parametrize("module, owner, name", [
     ("lampclock", None, "Violation"), ("lampclock.codec", None, "Violation"),
     ("lampclock", None, "classify"), ("lampclock.schemes", None, "classify"),
     ("lampclock.schemes", "SchemeShape", "from_lamp_counts"), ("lampclock.schemes", "SchemeShape", "state_count"),
     ("lampclock", None, "decode_minutes"), ("lampclock.codec", None, "decode_minutes"),
     ("lampclock", "TimeOfDay", "hour"), ("lampclock", "TimeOfDay", "minute"),
-    ("lampclock", "RowScheme", "lamp_counts"),
+    ("lampclock", "RowScheme", "lamp_counts"), ("lampclock.render", None, "parse_bits"),
 ])
 def test_removed_names_stay_gone(module, owner, name):
     found = importlib.import_module(module)

@@ -285,6 +285,7 @@ def test_a_state_is_checked_once_per_scheme_object(full_checks):
     assert scheme == equal and scheme is not equal
     state = encode(TimeOfDay(289), scheme)
     parsed = parse_bits(render(state, scheme, RenderSpec(RenderFormat.BITS)), scheme, Meridiem.AM)
+    full_checks.clear()  # parse_bits checks its meridiem argument, which is no check of a built state
     for fmt in RenderFormat:
         render(state, scheme, RenderSpec(fmt))
         render(parsed, scheme, RenderSpec(fmt))
