@@ -173,7 +173,7 @@ class DisplayState(_Record):
     cannot be represented at all.
     """
 
-    __slots__ = ("digits", "meridiem", "_scheme", "_units")  # the last two derived, by _state
+    __slots__ = ("digits", "meridiem", "_checked")  # the last derived: (scheme, units) of a passed check
 
     def __init__(self, digits: Iterable[int], meridiem: Meridiem | None = None):
         digits = tuple(digits)
@@ -184,15 +184,14 @@ class DisplayState(_Record):
             raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
         _set_digits(self, digits)
         _set_meridiem(self, meridiem)
-        _set_scheme(self, None)  # checked against no scheme yet
+        _set_checked(self, (None, None))  # checked against no scheme yet
 
 
 # Module names for the hot paths: the slots' own setters, which cost less than object.__setattr__
 # (as in schemes.SchemeShape), and the meridiems. The rule in codec and render: a hot path reads an
 # enum member through a module name (~20 ns), never through its class (~147 ns a read, Python 3.11).
 _set_minutes = TimeOfDay.minutes_since_midnight.__set__
-_set_digits, _set_meridiem, _set_scheme, _set_units = (
-    getattr(DisplayState, name).__set__ for name in DisplayState.__slots__)
+_set_digits, _set_meridiem, _set_checked = (getattr(DisplayState, name).__set__ for name in DisplayState.__slots__)
 _AM, _PM = Meridiem.AM, Meridiem.PM
 _new = object.__new__
 
@@ -202,8 +201,7 @@ def _state(digits: tuple[int, ...], meridiem: Meridiem | None, scheme: RowScheme
     state = _new(DisplayState)
     _set_digits(state, digits)
     _set_meridiem(state, meridiem)
-    _set_scheme(state, scheme)
-    _set_units(state, units)
+    _set_checked(state, (scheme, units))
     return state
 
 
@@ -321,8 +319,9 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
 
 def _check_state(state: DisplayState, scheme: RowScheme) -> int:
     """Check the state against the scheme and return its weighted digit sum, in base units."""
-    if state._scheme is scheme:  # _state built it for this very object, after its caller checked it
-        return state._units
+    checked_scheme, units = state._checked  # one slot: two could pair one thread's scheme with another's units
+    if checked_scheme is scheme:  # checked against this very object: by _state's caller, or below
+        return units
     digits, rows = state.digits, scheme.rows
     if len(digits) != len(rows):
         raise InvalidStateError(f"state has {len(digits)} digits, scheme {scheme.name!r} has {len(rows)} rows")
@@ -333,6 +332,7 @@ def _check_state(state: DisplayState, scheme: RowScheme) -> int:
                 f"row {rows.index(row) + 1} shows {digit} lit lamps but only has {row.lamp_count}")
         units += digit * row.unit_value
     _check_meridiem(scheme, state.meridiem)
+    _set_checked(state, (scheme, units))  # only once every check has passed
     return units
 
 

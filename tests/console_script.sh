@@ -4,6 +4,8 @@
 # LAMPCLOCK is the command to test, split into words; it defaults to the installed `lampclock`.
 set -eo pipefail  # as a GitHub Actions bash step runs
 LAMPCLOCK=${LAMPCLOCK:-lampclock}
+tmp=$(mktemp -d)  # the scheme files below, removed when the script exits, passing or failing
+trap 'rm -rf "$tmp"' EXIT
 frame=$($LAMPCLOCK show --time 04:49 --format bits)
 test "$frame" = "0/11/100/1110/10000" || { echo "lampclock show printed: $frame"; exit 1; }
 # No --time: the one read of the wall clock, which no test or bench workload makes.
@@ -26,24 +28,24 @@ want = {"scheme": "triangular", "digits": [0, 2, 1, 3, 1], "meridiem": "AM", "ti
 sys.exit(json.loads(sys.argv[1]) != want)' "$doc" || { echo "lampclock show --format json printed: $doc"; exit 1; }
 status=0; $LAMPCLOCK show --time 25:00 || status=$?
 test "$status" = 2 || { echo "lampclock show --time 25:00 exited $status, want 2"; exit 1; }
-wide=$(mktemp --suffix=.json)
+wide=$tmp/wide.json
 echo '{"name": "wide", "cycle_minutes": 1440, "rows": [{"lamps": 1441}]}' > "$wide"
 status=0; err=$($LAMPCLOCK validate "$wide" 2>&1 >/dev/null) || status=$?
 test "$status" = 3 || { echo "lampclock validate of a 1441-lamp row exited $status, want 3"; exit 1; }
 case "$err" in *"at most 1440"*) ;; *) echo "lampclock validate printed: $err"; exit 1 ;; esac
 # validate's one rule: rows of 1 and 2 lamps cover 6 of a 12-hour face's 720 minutes.
-short=$(mktemp --suffix=.json)
+short=$tmp/short.json
 echo '{"name": "short", "cycle_minutes": 720, "rows": [{"lamps": 1}, {"lamps": 2}]}' > "$short"
 status=0; err=$($LAMPCLOCK validate "$short" 2>&1 >/dev/null) || status=$?
 test "$status" = 3 || { echo "lampclock validate of a short scheme exited $status, want 3"; exit 1; }
 grep -qxF "capacity shortfall: scheme covers 6 minutes but the cycle is 720" <<< "$err" \
   || { echo "lampclock validate of a short scheme printed: $err"; exit 1; }
 # A state outside its face's cycle is no time: four 5-lamp rows all on read 21:35, no AM time.
-over=$(mktemp --suffix=.json)
+over=$tmp/over.json
 echo '{"name": "x", "cycle_minutes": 720, "rows": [{"lamps": 5}, {"lamps": 5}, {"lamps": 5}, {"lamps": 5}]}' > "$over"
 status=0; $LAMPCLOCK decode --scheme "$over" 11111/11111/11111/11111 --am 2>/dev/null || status=$?
 test "$status" = 2 || { echo "lampclock decode of an AM state past the cycle exited $status, want 2"; exit 1; }
-deep=$(mktemp --suffix=.json)
+deep=$tmp/deep.json
 python3 -c 'print("[" * 30000 + "]" * 30000)' > "$deep"
 status=0; $LAMPCLOCK validate "$deep" 2>/dev/null || status=$?
 test "$status" = 3 || { echo "lampclock validate of 30000-deep JSON exited $status, want 3"; exit 1; }

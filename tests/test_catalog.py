@@ -93,6 +93,7 @@ def test_load_scheme_capacity_shortfall_rejected(tmp_path):
         {"name": "x", "cycle_minutes": 2, "rows": [1]},  # a row not an object
         {"name": 5, "cycle_minutes": 2, "rows": [{"lamps": 1}]},
         {"name": None, "cycle_minutes": 2, "rows": [{"lamps": 1}]},
+        [], [{"lamps": 1}], 5, "x", None,  # JSON, but no object
     ],
 )
 def test_load_scheme_malformed_payloads(tmp_path, payload):

@@ -1,6 +1,7 @@
 """Value semantics of the seven record types: equality, hashing, repr,
 immutability, pickling, copying and construction checks; and the check
-that a state built by encode or parse_bits carries into render and decode."""
+that a state built by encode or parse_bits, or that passed once, carries
+into render and decode."""
 
 import copy
 import pickle
@@ -268,7 +269,7 @@ def test_checked_state_is_the_hand_built_value(build):
     clones = [pickle.loads(pickle.dumps(state, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for clone in clones + [copy.copy(state), copy.deepcopy(state)]:
         assert type(clone) is DisplayState and clone == by_hand and hash(clone) == hash(by_hand)
-        assert clone._scheme is None  # a copy carries no check: it is checked again in full
+        assert clone._checked[0] is None  # a copy carries no check: it is checked again in full
 
 
 @pytest.fixture
@@ -295,6 +296,26 @@ def test_a_state_is_checked_once_per_scheme_object(full_checks):
     assert decode(copy.copy(state), scheme) == TimeOfDay(289)
     assert render(pickle.loads(pickle.dumps(parsed)), scheme, RenderSpec(RenderFormat.BITS))
     assert len(full_checks) == 4
+
+
+def test_a_hand_built_state_keeps_the_check_it_passed(full_checks):
+    state = DisplayState((0, 2, 1, 3, 1), Meridiem.AM)
+    doc = render(state, TRIANGULAR, RenderSpec(RenderFormat.JSON))
+    assert doc == '{"scheme": "triangular", "digits": [0, 2, 1, 3, 1], "meridiem": "AM", "time": "04:49"}'
+    assert len(full_checks) == 1  # at render's entry: the decode that reads the time reuses it
+    assert decode(state, TRIANGULAR) == decode(state, TRIANGULAR) == TimeOfDay(289)
+    assert len(full_checks) == 1 and state._checked == (TRIANGULAR, 289)
+
+
+@pytest.mark.parametrize("check", [
+    decode, lambda state, scheme: render(state, scheme, RenderSpec(RenderFormat.JSON)),
+], ids=["decode", "render"])
+def test_a_check_that_fails_is_not_kept(full_checks, check):
+    state = DisplayState((0, 2, 1, 3, 1))  # the triangle's digits, without the AM/PM flag it needs
+    for _ in range(2):
+        with pytest.raises(InvalidStateError, match="an AM/PM flag is required"):
+            check(state, TRIANGULAR)
+    assert len(full_checks) == 2 and state._checked == (None, None)
 
 
 @pytest.mark.parametrize("fmt", list(RenderFormat))

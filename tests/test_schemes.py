@@ -310,7 +310,7 @@ class TestFactorize:
 
     def test_pollard_brent_gives_the_one_step_proper_divisor_below_200000(self):
         # every odd composite with no prime factor up to 37, as _factorize passes them;
-        # tests/check_pollard_brent.py sweeps the same set below 10**7
+        # tests/sweeps.py::test_pollard_brent sweeps the same set below 10**7
         sieve = prime_sieve(200_000)
         composites = [n for n in range(3, 200_000, 2) if not sieve[n] and all(n % p for p in range(3, 38, 2))]
         assert len(composites) == 11_798
@@ -375,7 +375,7 @@ class TestFactorize:
         assert [n for n in range(39, 10**6, 2) if _is_prime(n) != sieve[n]] == []
 
     def test_is_prime_agrees_with_a_sieve_at_both_ends_of_the_31_73_tier(self):
-        # the whole tier, [1373653, 9080191), is checked by tests/check_miller_rabin_tier.py
+        # the whole tier, [1373653, 9080191), is checked by tests/sweeps.py::test_miller_rabin_tier
         sieve = prime_sieve(9_080_191)
         for low, high in ((1_373_653, 1_573_653), (8_880_191, 9_080_191)):
             assert [n for n in range(low, high, 2) if _is_prime(n) != sieve[n]] == []
