@@ -29,19 +29,23 @@ MAX_CAPACITY = 2**64  # a scheme shows fewer states, so it has at most 64 rows a
 DEFAULT_SHAPE_LIMIT = 100_000
 MAX_SHAPE_LIMIT = 1_000_000  # larger enumeration limits are lowered to this, bounding memory
 
-_set = object.__setattr__  # how a _Record's __init__ fills its fields
-
 
 class _Record:
     """Immutable value whose fields are its ``__slots__`` in constructor order, but for derived data
     in slots named ``_x``: equality and hashing over the field tuple, a dataclass-style repr, and
-    pickling and copying through the constructor."""
+    pickling and copying through the constructor. A subclass's ``__init__`` fills its slots through
+    ``_setters``, their own setters in slot order: with ``_store``, or on a hot path by direct calls."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _store(self, *values):
+        for set_slot, value in zip(self._setters, values, strict=True):
+            set_slot(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -85,8 +89,7 @@ class RowSpec(_Record):
                 f"lamp count must be a positive integer, at most {MAX_LAMPS_PER_ROW}, got {lamp_count!r}")
         if type(unit_value) is not int or unit_value < 1:
             raise InvalidSchemeError(f"unit value must be a positive integer, got {unit_value!r}")
-        _set(self, "lamp_count", lamp_count)
-        _set(self, "unit_value", unit_value)
+        self._store(lamp_count, unit_value)
 
 
 class RowScheme(_Record):
@@ -124,10 +127,7 @@ class RowScheme(_Record):
             raise InvalidSchemeError(
                 f"scheme {name!r}: unit values {[row.unit_value for row in rows]} break the unit "
                 f"recurrence; lamp counts {[row.lamp_count for row in rows]} give {units}")
-        _set(self, "name", name)
-        _set(self, "rows", rows)
-        _set(self, "cycle_minutes", cycle_minutes)
-        _set(self, "base_unit_minutes", base_unit_minutes)
+        self._store(name, rows, cycle_minutes, base_unit_minutes)
 
     @property
     def has_meridiem(self) -> bool:
@@ -148,18 +148,17 @@ class TimeOfDay(_Record):
     @classmethod
     def parse(cls, text: str) -> "TimeOfDay":
         """Parse ``HH:MM`` or ``HH:MM:SS`` in ASCII digits; seconds, which
-        must lie in 0..59, are truncated."""
-        parts = text.strip().split(":")
+        must lie in 0..59, are truncated. Anything else, a non-string too, raises ``ValueError``."""
+        parts = text.strip().split(":") if isinstance(text, str) else ()
         if len(parts) not in (2, 3) or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"not a valid HH:MM time: {text!r}")
-        if len(parts) == 3 and int(parts[2]) >= 60:
-            raise ValueError(f"second out of range [0, 60): {parts[2]}")
-        hour, minute = int(parts[0]), int(parts[1])  # digits only, so never negative
-        if hour >= 24:
-            raise ValueError(f"hour out of range [0, 24): {hour}")
-        if minute >= 60:
-            raise ValueError(f"minute out of range [0, 60): {minute}")
-        return cls(hour * 60 + minute)
+        # Digits only, so never negative. Without its leading zeros a field in range has at most 2 digits,
+        # so no longer one reaches int(), which refuses a string of over 4,300 digits.
+        hour, minute, *second = [p.lstrip("0") or "0" for p in parts]
+        for name, field, bound in [("second", s, 60) for s in second] + [("hour", hour, 24), ("minute", minute, 60)]:
+            if len(field) > 2 or int(field) >= bound:
+                raise ValueError(f"{name} out of range [0, {bound}): {field}")
+        return cls(int(hour) * 60 + int(minute))
 
     def __str__(self) -> str:  # HH:MM, the JSON render's time too: one read of the minutes, no properties
         return "%02d:%02d" % divmod(self.minutes_since_midnight, 60)
@@ -182,16 +181,14 @@ class DisplayState(_Record):
                 raise ValueError(f"digits must be non-negative integers: {digits}")
         if meridiem is not None and not isinstance(meridiem, Meridiem):
             raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
-        _set_digits(self, digits)
-        _set_meridiem(self, meridiem)
-        _set_checked(self, (None, None))  # checked against no scheme yet
+        self._store(digits, meridiem, (None, None))  # checked against no scheme yet
 
 
-# Module names for the hot paths: the slots' own setters, which cost less than object.__setattr__
-# (as in schemes.SchemeShape), and the meridiems. The rule in codec and render: a hot path reads an
-# enum member through a module name (~20 ns), never through its class (~147 ns a read, Python 3.11).
-_set_minutes = TimeOfDay.minutes_since_midnight.__set__
-_set_digits, _set_meridiem, _set_checked = (getattr(DisplayState, name).__set__ for name in DisplayState.__slots__)
+# Module names for the hot paths: the slots' setters, called directly rather than through _store (as in
+# schemes.SchemeShape), and the meridiems. The rule in codec and render: a hot path reads an enum
+# member through a module name (~20 ns), never through its class (~147 ns a read, Python 3.11).
+(_set_minutes,) = TimeOfDay._setters
+_set_digits, _set_meridiem, _set_checked = DisplayState._setters
 _AM, _PM = Meridiem.AM, Meridiem.PM
 _new = object.__new__
 
@@ -349,8 +346,7 @@ class ValidationReport(_Record):
     __slots__ = ("capacity_minutes", "cycle_minutes")
 
     def __init__(self, capacity_minutes: int, cycle_minutes: int):
-        _set(self, "capacity_minutes", capacity_minutes)
-        _set(self, "cycle_minutes", cycle_minutes)
+        self._store(capacity_minutes, cycle_minutes)
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 
-from .codec import _AM, DisplayState, RowScheme, _check_state, _Record, _set, decode
+from .codec import _AM, DisplayState, RowScheme, _check_state, _Record, decode
 from .errors import InvalidStateError, RenderError
 
 
@@ -60,9 +60,7 @@ class RenderSpec(_Record):
         for value, kind in ((format, RenderFormat), (layout, Layout), (use_color, bool)):
             if not isinstance(value, kind):
                 raise ValueError(f"{kind.__name__} expected, got {value!r}")
-        _set(self, "format", format)
-        _set(self, "layout", layout)
-        _set(self, "use_color", use_color)
+        self._store(format, layout, use_color)
 
 
 def default_layout(scheme: RowScheme) -> Layout:

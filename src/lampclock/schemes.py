@@ -17,7 +17,7 @@ each factor f of d, ascending, as a first row, followed by each layout of
 d/f, built already and in order. N has at most 256 divisors under the cap,
 so the walk makes at most 32,640 divisibility tests, one per pair f <= d
 above 1, and keeps at most H(N) layouts of the divisors below N, freed
-before any shape is built. The shapes are made bare, then filled by one map per slot.
+before any shape is built. Bare shapes get their lamps, then their class, by one map each.
 """
 
 from __future__ import annotations
@@ -41,21 +41,22 @@ class ShapeClass(Enum):
 
 
 class SchemeShape(_Record):
-    """A row layout by lamp counts (top first) and its geometry."""
+    """A row layout by lamp counts (top first) and its geometry; ``total_lamps`` is their sum."""
 
-    __slots__ = ("lamp_counts", "classification", "total_lamps")
+    __slots__ = ("lamp_counts", "classification")
 
-    def __init__(self, lamp_counts: tuple[int, ...], classification: ShapeClass, total_lamps: int):
+    def __init__(self, lamp_counts: tuple[int, ...], classification: ShapeClass):
         _set_lamp_counts(self, lamp_counts)
         _set_classification(self, classification)
-        _set_total_lamps(self, total_lamps)
+
+    @property
+    def total_lamps(self) -> int:
+        return sum(self.lamp_counts)
 
 
 # Module names for the hot paths (codec's rule at _AM): the members, and the slots' setters (one call each)
 _TRIANGULAR, _RECTANGULAR, _IRREGULAR = ShapeClass
-_IRREGULARS = repeat(_IRREGULAR)  # endless and stateless: map stops at the end of the shapes
-_set_lamp_counts, _set_classification, _set_total_lamps = (
-    getattr(SchemeShape, name).__set__ for name in SchemeShape.__slots__)
+_set_lamp_counts, _set_classification = SchemeShape._setters
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
@@ -194,7 +195,7 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
         if g % k == 0:
             special[(prod(p ** (e // k) for p, e in factors.items()) - 1,) * k] = _RECTANGULAR
     if shape_filter is _TRIANGULAR or shape_filter is _RECTANGULAR:
-        return [SchemeShape(lamps, shape_filter, sum(lamps)) for lamps in special]
+        return [SchemeShape(lamps, shape_filter) for lamps in special]
     divisors = [1]
     for p, e in factors.items():
         divisors = [d * p**i for d in divisors for i in range(e + 1)]
@@ -214,8 +215,7 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
     # Bare shapes, then one C-level pass per slot: a setter returns None, so any() runs each map to its end
     shapes = list(map(_new, repeat(SchemeShape, len(lamp_lists))))
     any(map(_set_lamp_counts, shapes, lamp_lists))
-    any(map(_set_classification, shapes, _IRREGULARS))
-    any(map(_set_total_lamps, shapes, map(sum, lamp_lists)))
+    any(map(_set_classification, shapes, repeat(_IRREGULAR)))  # endless: map stops at the end of the shapes
     for lamps, cls in special.items():
         _set_classification(shapes[bisect_left(lamp_lists, lamps)], cls)
     return shapes

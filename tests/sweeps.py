@@ -112,7 +112,7 @@ def test_enumerate_sweep():
     targets, queries, wrong = range(2, BOUND + 1), 0, []
     for n in targets:
         lamp_counts = sorted(tuple(f - 1 for f in factors) for factors in ordered_factorizations(n))
-        records = [SchemeShape(lamps, ShapeClass(shape_class(lamps)), sum(lamps)) for lamps in lamp_counts]
+        records = [SchemeShape(lamps, ShapeClass(shape_class(lamps))) for lamps in lamp_counts]
         if count_shapes(n) != len(records):
             wrong.append((n, "count_shapes"))
         for shape_filter in (None, *ShapeClass):

@@ -88,6 +88,14 @@ class TestShow:
         assert main(["show", "--time", bad]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    # the interpreter's limit on int() of a long string is no message of ours
+    @pytest.mark.parametrize("time", ["04:49:" + "0" * 4999 + "60", "04:" + "9" * 5000, "1" * 5001 + ":00"],
+                             ids=["second", "minute", "hour"])
+    def test_long_time_field_is_input_error(self, time, capsys):
+        assert main(["show", "--time", time, "--format", "bits"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of range" in err and "set_int_max_str_digits" not in err
+
     def test_unknown_scheme_is_scheme_error(self, capsys):
         assert main(["show", "--scheme", "sundial"]) == EXIT_SCHEME
         assert "sundial" in capsys.readouterr().err

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import time
 from itertools import product
 
@@ -10,10 +12,12 @@ import hypothesis.strategies as st
 from lampclock import (
     BERLIN,
     TRIANGULAR,
+    BitsParseError,
     DisplayState,
     InvalidSchemeError,
     InvalidStateError,
     Meridiem,
+    MonotoneFillError,
     RenderFormat,
     RenderSpec,
     RowScheme,
@@ -25,6 +29,7 @@ from lampclock import (
     derive_units,
     encode,
     make_scheme,
+    parse_bits,
     render,
     validate,
 )
@@ -50,6 +55,33 @@ class TestTimeOfDay:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             TimeOfDay.parse(bad)
+
+    @pytest.mark.parametrize("bad", [449, 4.49, None, b"04:49", ["04", "49"], TimeOfDay(289)], ids=repr)
+    def test_parse_rejects_non_strings(self, bad):
+        with pytest.raises(ValueError, match="not a valid HH:MM time"):
+            TimeOfDay.parse(bad)
+
+    # Python's int() refuses a string of over 4,300 digits; a field's leading zeros are no part of its value
+    @pytest.mark.parametrize("text", ["0004:49", "04:49:0000059", "04:49:" + "0" * 5000, "0" * 4999 + "04:49",
+                                      "04:" + "0" * 4999 + "49", "0" * 5000 + "4:" + "0" * 5000 + "49:" + "0" * 5000],
+                             ids=["hour", "second", "second-5000", "hour-5001", "minute-5001", "each-5000"])
+    def test_parse_drops_leading_zeros_of_any_length(self, text):
+        assert TimeOfDay.parse(text) == TimeOfDay(289)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1" * 5000 + ":00", "hour out of range [0, 24): " + "1" * 5000),
+        ("0" * 5000 + "24:00", "hour out of range [0, 24): 24"),
+        ("04:" + "9" * 5000, "minute out of range [0, 60): " + "9" * 5000),
+        ("04:49:" + "0" * 5000 + "60", "second out of range [0, 60): 60"),
+        ("04:49:" + "1" * 10**6, "second out of range [0, 60): " + "1" * 10**6),
+        ("04:49:060", "second out of range [0, 60): 60"),
+    ], ids=["hour", "hour-5002", "minute", "second-5002", "second-10**6", "second-3"])
+    def test_parse_rejects_long_fields_as_out_of_range(self, text, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            TimeOfDay.parse(text)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("minutes", [-1, 1440, 10_000])
     def test_range_enforced(self, minutes):
@@ -316,6 +348,82 @@ class TestDecodeOutsideTheCycle:
                 assert encode(time, scheme) == state
                 accepted.add(state)
         assert accepted == shown
+
+
+class TestParseBits:
+    def test_4_49(self):
+        state = parse_bits("0/11/100/1110/10000", TRIANGULAR, Meridiem.AM)
+        assert state.digits == (0, 2, 1, 3, 1)
+        assert state.meridiem is Meridiem.AM
+
+    def test_all_off(self):
+        assert parse_bits("0/00/000/0000/00000", TRIANGULAR, Meridiem.AM).digits == (0,) * 5
+
+    def test_berlin_needs_no_meridiem(self):
+        assert parse_bits("1100/0000/11111100000/1000", BERLIN).digits == (2, 0, 6, 1)
+
+    def test_gapped_row_rejected_with_row_number(self):
+        with pytest.raises(MonotoneFillError) as exc_info:
+            parse_bits("0/01/000/0000/00000", TRIANGULAR, Meridiem.AM)
+        assert exc_info.value.row == 2
+        assert "row 2" in str(exc_info.value)
+
+    # so that a worker process can send the error back, as multiprocessing pickles it
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_gapped_row_error_survives_pickle_and_copy(self, clone):
+        with pytest.raises(MonotoneFillError) as exc_info:
+            parse_bits("0/01/000/0000/00000", TRIANGULAR, Meridiem.AM)
+        error = exc_info.value
+        twin = clone(error)
+        assert type(twin) is MonotoneFillError and twin is not error
+        assert (twin.row, str(twin), twin.args) == (error.row, str(error), error.args)
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(BitsParseError):
+            parse_bits("0/11/100", TRIANGULAR, Meridiem.AM)
+
+    def test_row_width_mismatch(self):
+        with pytest.raises(BitsParseError, match="row 3"):
+            parse_bits("0/11/1000/1110/10000", TRIANGULAR, Meridiem.AM)
+
+    def test_bad_characters(self):
+        with pytest.raises(BitsParseError, match="row 1"):
+            parse_bits("x/11/100/1110/10000", TRIANGULAR, Meridiem.AM)
+
+    def test_meridiem_required_for_half_day_scheme(self):
+        with pytest.raises(InvalidStateError):
+            parse_bits("0/00/000/0000/00000", TRIANGULAR)
+
+    def test_meridiem_rejected_for_full_day_scheme(self):
+        with pytest.raises(InvalidStateError):
+            parse_bits("0000/0000/00000000000/0000", BERLIN, Meridiem.AM)
+
+    def test_meridiem_must_be_a_meridiem(self):
+        # the check DisplayState would make: a string is not a Meridiem
+        with pytest.raises(ValueError, match="Meridiem or None expected, got 'AM'"):
+            parse_bits("0/11/100/1110/10000", TRIANGULAR, "AM")
+        with pytest.raises(InvalidStateError):  # on a 24-hour face any flag is one too many
+            parse_bits("0000/0000/00000000000/0000", BERLIN, "AM")
+
+
+@given(valid_schemes(), st.data())
+def test_each_row_reports_its_first_broken_rule(scheme, data):
+    # width comes first, then characters; without its own width test, a row of n + 1 ones
+    # would pass for n lamps, as it is left-filled
+    meridiem = Meridiem.AM if scheme.has_meridiem else None
+    lamp_counts = tuple(row.lamp_count for row in scheme.rows)
+    digits = [data.draw(st.integers(0, n)) for n in lamp_counts]
+    rows = ["1" * d + "0" * (n - d) for d, n in zip(digits, lamp_counts)]
+    assert parse_bits("/".join(rows), scheme, meridiem).digits == tuple(digits)
+    for k, (row, n) in enumerate(zip(rows, lamp_counts), start=1):
+        def parse_with(bad):
+            return parse_bits("/".join(rows[:k - 1] + [bad] + rows[k:]), scheme, meridiem)
+        for bad in (row + "1", row + "0", "1" * (n + 1), row[:-1], row + "2"):
+            with pytest.raises(BitsParseError, match=f"^row {k} must have {n} bits, got {len(bad)}$"):
+                parse_with(bad)
+        with pytest.raises(BitsParseError, match=f"^row {k} contains characters other than 0/1"):
+            parse_with("2" + row[1:])
 
 
 def test_all_on_is_capacity_minus_one():

@@ -31,7 +31,7 @@ from lampclock import (
     parse_bits,
     render,
 )
-from lampclock.codec import _Record, _set
+from lampclock.codec import _Record
 
 # (value, an equal value built afresh, a value differing in one field,
 #  the plain tuple of its fields, its exact repr)
@@ -70,12 +70,11 @@ CASES = {
         "use_color=True)",
     ),
     "SchemeShape": (
-        SchemeShape((2, 1), ShapeClass.IRREGULAR, 3),
-        SchemeShape(lamp_counts=(2, 1), classification=ShapeClass.IRREGULAR, total_lamps=3),
-        SchemeShape((1, 2), ShapeClass.IRREGULAR, 3),
-        ((2, 1), ShapeClass.IRREGULAR, 3),
-        "SchemeShape(lamp_counts=(2, 1), classification=<ShapeClass.IRREGULAR: 'IRREGULAR'>, "
-        "total_lamps=3)",
+        SchemeShape((2, 1), ShapeClass.IRREGULAR),
+        SchemeShape(lamp_counts=(2, 1), classification=ShapeClass.IRREGULAR),
+        SchemeShape((1, 2), ShapeClass.IRREGULAR),
+        ((2, 1), ShapeClass.IRREGULAR),
+        "SchemeShape(lamp_counts=(2, 1), classification=<ShapeClass.IRREGULAR: 'IRREGULAR'>)",
     ),
 }
 NAMES = sorted(CASES)
@@ -231,21 +230,38 @@ class TestConstructors:
         assert (report.capacity_minutes, report.cycle_minutes) == (6, 720) and not report.ok
         assert ValidationReport(720, 720).ok and str(ValidationReport(1500, 1440)) == "ok"
         assert str(report) == "capacity shortfall: scheme covers 6 minutes but the cycle is 720"
-        shape = SchemeShape((2, 1), ShapeClass.IRREGULAR, 3)
+        shape = SchemeShape((2, 1), ShapeClass.IRREGULAR)
         assert (shape.lamp_counts, shape.classification, shape.total_lamps) == ((2, 1), ShapeClass.IRREGULAR, 3)
+
+    # the total is the sum of the lamp counts, worked out when read: not an argument, so no wrong one
+    def test_scheme_shape_refuses_the_old_total_argument(self):
+        assert SchemeShape.__slots__ == ("lamp_counts", "classification")
+        with pytest.raises(TypeError):
+            SchemeShape((2, 1), ShapeClass.IRREGULAR, 99)
+        with pytest.raises(TypeError, match="total_lamps"):
+            SchemeShape(lamp_counts=(2, 1), classification=ShapeClass.IRREGULAR, total_lamps=3)
+
+    @pytest.mark.parametrize("counts", [(1,), (2, 1), (1, 2, 3, 4, 5), (4, 4, 11, 4), (1440,) * 6])
+    def test_scheme_shape_total_is_its_sum(self, counts):
+        shape = SchemeShape(counts, ShapeClass.IRREGULAR)
+        assert shape.total_lamps == sum(counts)
+        with pytest.raises(AttributeError):
+            shape.total_lamps = sum(counts)
 
 
 class _Tagged(_Record):
     __slots__ = ("name", "_note")
 
     def __init__(self, name, note=None):
-        _set(self, "name", name)
-        _set(self, "_note", note)
+        self._store(name, note)
 
 
 def test_private_slots_are_derived_data_not_fields():
     first, second = _Tagged("a", 1), _Tagged("a", 2)
-    assert _Tagged._fields == ("name",)
+    assert _Tagged._fields == ("name",) and len(_Tagged._setters) == 2
+    assert (first.name, first._note) == ("a", 1)
+    with pytest.raises(ValueError):  # one value per slot, no fewer
+        _Tagged("c")._store("b")
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second) == "_Tagged(name='a')"
     assert first.__reduce__() == (_Tagged, ("a",))

@@ -1,7 +1,5 @@
-import copy
 import hashlib
 import json
-import pickle
 import re
 import time
 import xml.etree.ElementTree as ET
@@ -14,13 +12,11 @@ import hypothesis.strategies as st
 from lampclock import (
     BERLIN,
     TRIANGULAR,
-    BitsParseError,
     DisplayState,
     InvalidSchemeError,
     InvalidStateError,
     Layout,
     Meridiem,
-    MonotoneFillError,
     RenderError,
     RenderFormat,
     RenderSpec,
@@ -84,82 +80,6 @@ def test_every_format_refuses_a_state_that_does_not_fit(fmt, scheme, state):
         render(state, scheme, RenderSpec(format=fmt))
     assert type(info.value) is InvalidStateError and str(info.value) == str(refused.value)
     assert info.value.__context__ is None  # one error, not a second raised while handling a first
-
-
-class TestParseBits:
-    def test_4_49(self):
-        state = parse_bits("0/11/100/1110/10000", TRIANGULAR, Meridiem.AM)
-        assert state.digits == (0, 2, 1, 3, 1)
-        assert state.meridiem is Meridiem.AM
-
-    def test_all_off(self):
-        assert parse_bits("0/00/000/0000/00000", TRIANGULAR, Meridiem.AM).digits == (0,) * 5
-
-    def test_berlin_needs_no_meridiem(self):
-        assert parse_bits("1100/0000/11111100000/1000", BERLIN).digits == (2, 0, 6, 1)
-
-    def test_gapped_row_rejected_with_row_number(self):
-        with pytest.raises(MonotoneFillError) as exc_info:
-            parse_bits("0/01/000/0000/00000", TRIANGULAR, Meridiem.AM)
-        assert exc_info.value.row == 2
-        assert "row 2" in str(exc_info.value)
-
-    # so that a worker process can send the error back, as multiprocessing pickles it
-    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
-                             ids=["pickle", "copy", "deepcopy"])
-    def test_gapped_row_error_survives_pickle_and_copy(self, clone):
-        with pytest.raises(MonotoneFillError) as exc_info:
-            parse_bits("0/01/000/0000/00000", TRIANGULAR, Meridiem.AM)
-        error = exc_info.value
-        twin = clone(error)
-        assert type(twin) is MonotoneFillError and twin is not error
-        assert (twin.row, str(twin), twin.args) == (error.row, str(error), error.args)
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(BitsParseError):
-            parse_bits("0/11/100", TRIANGULAR, Meridiem.AM)
-
-    def test_row_width_mismatch(self):
-        with pytest.raises(BitsParseError, match="row 3"):
-            parse_bits("0/11/1000/1110/10000", TRIANGULAR, Meridiem.AM)
-
-    def test_bad_characters(self):
-        with pytest.raises(BitsParseError, match="row 1"):
-            parse_bits("x/11/100/1110/10000", TRIANGULAR, Meridiem.AM)
-
-    def test_meridiem_required_for_half_day_scheme(self):
-        with pytest.raises(InvalidStateError):
-            parse_bits("0/00/000/0000/00000", TRIANGULAR)
-
-    def test_meridiem_rejected_for_full_day_scheme(self):
-        with pytest.raises(InvalidStateError):
-            parse_bits("0000/0000/00000000000/0000", BERLIN, Meridiem.AM)
-
-    def test_meridiem_must_be_a_meridiem(self):
-        # the check DisplayState would make: a string is not a Meridiem
-        with pytest.raises(ValueError, match="Meridiem or None expected, got 'AM'"):
-            parse_bits("0/11/100/1110/10000", TRIANGULAR, "AM")
-        with pytest.raises(InvalidStateError):  # on a 24-hour face any flag is one too many
-            parse_bits("0000/0000/00000000000/0000", BERLIN, "AM")
-
-
-@given(valid_schemes(), st.data())
-def test_each_row_reports_its_first_broken_rule(scheme, data):
-    # width comes first, then characters; without its own width test, a row of n + 1 ones
-    # would pass for n lamps, as it is left-filled
-    meridiem = Meridiem.AM if scheme.has_meridiem else None
-    lamp_counts = tuple(row.lamp_count for row in scheme.rows)
-    digits = [data.draw(st.integers(0, n)) for n in lamp_counts]
-    rows = ["1" * d + "0" * (n - d) for d, n in zip(digits, lamp_counts)]
-    assert parse_bits("/".join(rows), scheme, meridiem).digits == tuple(digits)
-    for k, (row, n) in enumerate(zip(rows, lamp_counts), start=1):
-        def parse_with(bad):
-            return parse_bits("/".join(rows[:k - 1] + [bad] + rows[k:]), scheme, meridiem)
-        for bad in (row + "1", row + "0", "1" * (n + 1), row[:-1], row + "2"):
-            with pytest.raises(BitsParseError, match=f"^row {k} must have {n} bits, got {len(bad)}$"):
-                parse_with(bad)
-        with pytest.raises(BitsParseError, match=f"^row {k} contains characters other than 0/1"):
-            parse_with("2" + row[1:])
 
 
 @pytest.mark.parametrize("scheme", [TRIANGULAR, BERLIN], ids=lambda s: s.name)

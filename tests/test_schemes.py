@@ -63,19 +63,19 @@ class TestShapeClasses:
     # (1,) from 2 states, (1, 2) from 6 and (1, 2, 3, 4, 5) from 720
     @pytest.mark.parametrize("counts", [(1,), (1, 2), (1, 2, 3, 4, 5)])
     def test_triangular(self, counts):
-        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.TRIANGULAR, sum(counts))
+        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.TRIANGULAR)
         assert shape_class(counts) == "TRIANGULAR"
 
     # (1, 1) from 4 states, (4, 4, 4) from 125 and (2, 2) from 9
     @pytest.mark.parametrize("counts", [(1, 1), (4, 4, 4), (2, 2)])
     def test_rectangular(self, counts):
-        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.RECTANGULAR, sum(counts))
+        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.RECTANGULAR)
         assert shape_class(counts) == "RECTANGULAR"
 
     # (5,) and (2, 1) from 6 states, (4, 4, 11, 4) from 1500 and (1, 2, 4) from 30
     @pytest.mark.parametrize("counts", [(5,), (2, 1), (4, 4, 11, 4), (1, 2, 4)])
     def test_irregular(self, counts):
-        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.IRREGULAR, sum(counts))
+        assert enumerated_shape(counts) == SchemeShape(counts, ShapeClass.IRREGULAR)
         assert shape_class(counts) == "IRREGULAR"
 
 
@@ -174,7 +174,7 @@ class TestEnumerateShapes:
         got = [s.lamp_counts for s in enumerate_shapes(n)]
         assert got == expected  # same shapes, already in lexicographic order
         # whole records: a slot that a fill pass missed raises AttributeError when compared
-        records = [SchemeShape(lamps, ShapeClass(shape_class(lamps)), sum(lamps)) for lamps in expected]
+        records = [SchemeShape(lamps, ShapeClass(shape_class(lamps))) for lamps in expected]
         assert enumerate_shapes(n) == records
 
     @given(st.integers(min_value=2, max_value=400))
@@ -431,21 +431,21 @@ class TestTriangularFeasibility:
 
 class TestShapeToScheme:
     def test_realizes_builtin_triangular(self):
-        shape = SchemeShape((1, 2, 3, 4, 5), ShapeClass.TRIANGULAR, 15)
+        shape = SchemeShape((1, 2, 3, 4, 5), ShapeClass.TRIANGULAR)
         scheme = shape_to_scheme(shape, 1, 720, name="triangular")
         assert scheme == TRIANGULAR
 
     def test_realizes_builtin_berlin(self):
-        shape = SchemeShape((4, 4, 11, 4), ShapeClass.IRREGULAR, 23)
+        shape = SchemeShape((4, 4, 11, 4), ShapeClass.IRREGULAR)
         scheme = shape_to_scheme(shape, 1, 1440, name="berlin")
         assert scheme == BERLIN
 
     def test_capacity_shortfall_rejected(self):
         with pytest.raises(InvalidSchemeError):
-            shape_to_scheme(SchemeShape((1,), ShapeClass.TRIANGULAR, 1), 1, 720)
+            shape_to_scheme(SchemeShape((1,), ShapeClass.TRIANGULAR), 1, 720)
 
     def test_generated_name(self):
-        scheme = shape_to_scheme(SchemeShape((2, 1), ShapeClass.IRREGULAR, 3), 1, 6)
+        scheme = shape_to_scheme(SchemeShape((2, 1), ShapeClass.IRREGULAR), 1, 6)
         assert scheme.name == "rows-2-1"
 
     def test_all_enumerated_shapes_validate(self):
