@@ -9,7 +9,6 @@ from .codec import (
     DisplayState,
     Meridiem,
     RowScheme,
-    RowSpec,
     TimeOfDay,
     ValidationReport,
     capacity,
@@ -63,7 +62,6 @@ __all__ = [
     "RenderFormat",
     "RenderSpec",
     "RowScheme",
-    "RowSpec",
     "SchemeShape",
     "ScriptedTimeSource",
     "ShapeClass",

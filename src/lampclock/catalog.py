@@ -5,10 +5,10 @@ A scheme file is JSON with the shape::
     {"name": "...", "base_unit_minutes": 1, "cycle_minutes": 720,
      "rows": [{"lamps": 1}, {"lamps": 2}, ...]}
 
-Unit values are always derived from the lamp counts, never read from the
-file, so a file cannot describe a scheme that breaks the unit recurrence.
-A capacity shortfall against the declared cycle is still possible and is
-rejected at load time.
+A scheme is its lamp counts: ``RowScheme`` derives the row units from
+them, so no file or caller gives a unit, and none can be wrong. A capacity
+shortfall against the declared cycle is still possible and is rejected at
+load time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .codec import RowScheme, RowSpec, derive_units, validate
+from .codec import RowScheme, validate
 from .errors import InvalidSchemeError
 
 # A scheme has at most 64 rows (its capacity is below 2**64), far less than this in JSON.
@@ -29,14 +29,8 @@ def make_scheme(
     cycle_minutes: int,
     base_unit_minutes: int = 1,
 ) -> RowScheme:
-    """Build a scheme from lamp counts, deriving units, and validate it."""
-    lamp_counts = tuple(lamp_counts)  # read once: an iterator would be used up by derive_units
-    try:
-        units = derive_units(lamp_counts)
-        rows = tuple(RowSpec(lamps, unit) for lamps, unit in zip(lamp_counts, units))
-    except InvalidSchemeError as exc:
-        raise InvalidSchemeError(f"scheme {name!r}: {exc}") from exc
-    scheme = RowScheme(name, rows, cycle_minutes, base_unit_minutes)
+    """Build a scheme from lamp counts and validate it."""
+    scheme = RowScheme(name, lamp_counts, cycle_minutes, base_unit_minutes)
     report = validate(scheme)
     if not report.ok:
         raise InvalidSchemeError(f"scheme {name!r} is invalid:\n{report}")

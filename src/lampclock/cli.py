@@ -17,7 +17,7 @@ import time
 from typing import Callable, TextIO
 
 from .catalog import resolve_scheme
-from .codec import (DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, Meridiem, RowScheme, TimeOfDay, decode,
+from .codec import (DEFAULT_SHAPE_LIMIT, MAX_SHAPE_LIMIT, Meridiem, RowScheme, TimeOfDay, _excerpt, decode,
                     encode, parse_bits, validate)
 from .errors import ClockError, InvalidSchemeError
 from .render import Layout, RenderFormat, RenderSpec, default_layout, render
@@ -176,19 +176,22 @@ def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _positive_int(text: str) -> int:
+    value = 0
     try:
         value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    except ValueError:  # not a number, or one of over 4,300 digits: int() refuses those, Decimal reads them
+        if text.strip().isdecimal():
+            from decimal import Decimal
+            value = int(Decimal(text))
+    if value >= 1:
+        return value
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {_excerpt(text)}")
 
 
 def _interval(text: str) -> int:
     value = _positive_int(text)
     if value > MAX_INTERVAL:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_INTERVAL} seconds, got {text}")
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_INTERVAL} seconds, got {_excerpt(text)}")
     return value
 
 

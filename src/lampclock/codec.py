@@ -24,7 +24,7 @@ from .errors import BitsParseError, InvalidSchemeError, InvalidStateError, Monot
 MINUTES_PER_DAY = 1440
 HALF_DAY = 720
 
-MAX_LAMPS_PER_ROW = 1440  # one-minute lamps enough for a day; RowSpec bounds every row by it
+MAX_LAMPS_PER_ROW = 1440  # one-minute lamps enough for a day; RowScheme bounds every row by it
 MAX_CAPACITY = 2**64  # a scheme shows fewer states, so it has at most 64 rows and 64-bit units
 DEFAULT_SHAPE_LIMIT = 100_000
 MAX_SHAPE_LIMIT = 1_000_000  # larger enumeration limits are lowered to this, bounding memory
@@ -73,66 +73,48 @@ class Meridiem(Enum):
     PM = "PM"
 
 
-class RowSpec(_Record):
-    """One row of lamps: how many there are and what each is worth.
-
-    ``unit_value`` is expressed in the scheme's base units; in a
-    :class:`RowScheme` the bottom row always has ``unit_value == 1``.
-    """
-
-    __slots__ = ("lamp_count", "unit_value")
-
-    def __init__(self, lamp_count: int, unit_value: int):
-        # type() rather than isinstance(), here and in RowScheme: bool is an int subclass
-        if type(lamp_count) is not int or not 1 <= lamp_count <= MAX_LAMPS_PER_ROW:
-            raise InvalidSchemeError(
-                f"lamp count must be a positive integer, at most {MAX_LAMPS_PER_ROW}, got {lamp_count!r}")
-        if type(unit_value) is not int or unit_value < 1:
-            raise InvalidSchemeError(f"unit value must be a positive integer, got {unit_value!r}")
-        self._store(lamp_count, unit_value)
-
-
 class RowScheme(_Record):
-    """An ordered stack of lamp rows, top row first.
+    """An ordered stack of lamp rows, top row first, given by their lamp counts.
 
-    Construction checks the fields (a non-empty name, non-empty rows,
-    positive cycle and base unit), then that the rows' unit values are the
-    ones :func:`derive_units` gives their lamp counts, which also bounds
-    the capacity below ``MAX_CAPACITY``. Whether the capacity covers
-    ``cycle_minutes`` is left to :func:`validate`, so that a scheme short
+    The lamp counts fix the scheme: construction derives the row units from them
+    with :func:`derive_units`, which also bounds the capacity below
+    ``MAX_CAPACITY``, and checks the fields (at most ``MAX_LAMPS_PER_ROW`` lamps a
+    row, a non-empty name, positive cycle and base unit). Whether the capacity
+    covers ``cycle_minutes`` is left to :func:`validate`, so that a scheme short
     of its cycle can be represented and reported on.
     """
 
-    __slots__ = ("name", "rows", "cycle_minutes", "base_unit_minutes")
+    __slots__ = ("name", "lamp_counts", "cycle_minutes", "base_unit_minutes", "_units")
 
-    def __init__(self, name: str, rows: Iterable[RowSpec], cycle_minutes: int,
+    def __init__(self, name: str, lamp_counts: Iterable[int], cycle_minutes: int,
                  base_unit_minutes: int = 1):
+        lamp_counts = tuple(lamp_counts)
+        try:
+            units = tuple(derive_units(lamp_counts))
+        except InvalidSchemeError as exc:
+            raise InvalidSchemeError(f"scheme {name!r}: {exc}") from exc
+        for lamps in lamp_counts:  # after derive_units, so that a row of 10**100 lamps reports the capacity
+            if lamps > MAX_LAMPS_PER_ROW:
+                raise InvalidSchemeError(f"scheme {name!r}: lamp count must be a positive integer, "
+                                         f"at most {MAX_LAMPS_PER_ROW}, got {lamps}")
         if not isinstance(name, str) or not name:
             raise InvalidSchemeError(f"scheme name must be a non-empty string, got {name!r}")
-        rows = tuple(rows)
-        if not rows:
-            raise InvalidSchemeError(f"scheme {name!r} needs at least one row")
+        # type() rather than isinstance(): bool is an int subclass
         if type(cycle_minutes) is not int or cycle_minutes < 1:
             raise InvalidSchemeError(f"scheme {name!r}: cycle_minutes must be a positive integer")
         if type(base_unit_minutes) is not int or base_unit_minutes < 1:
             raise InvalidSchemeError(f"scheme {name!r}: base_unit_minutes must be a positive integer")
-        for row in rows:
-            if type(row) is not RowSpec:
-                raise InvalidSchemeError(f"scheme {name!r}: every row must be a RowSpec, got {row!r}")
-        try:
-            units = derive_units([row.lamp_count for row in rows])
-        except InvalidSchemeError as exc:
-            raise InvalidSchemeError(f"scheme {name!r}: {exc}") from exc
-        if [row.unit_value for row in rows] != units:
-            raise InvalidSchemeError(
-                f"scheme {name!r}: unit values {[row.unit_value for row in rows]} break the unit "
-                f"recurrence; lamp counts {[row.lamp_count for row in rows]} give {units}")
-        self._store(name, rows, cycle_minutes, base_unit_minutes)
+        self._store(name, lamp_counts, cycle_minutes, base_unit_minutes, units)
 
     @property
     def has_meridiem(self) -> bool:
         """True when states of this scheme carry an AM/PM flag."""
         return self.cycle_minutes == HALF_DAY
+
+
+def _excerpt(text: str, show=str, unit: str = "characters") -> str:
+    """How an error quotes user text: all of it up to 20 characters, else its first 20, then its length."""
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} {unit})"
 
 
 class TimeOfDay(_Record):
@@ -151,13 +133,13 @@ class TimeOfDay(_Record):
         must lie in 0..59, are truncated. Anything else, a non-string too, raises ``ValueError``."""
         parts = text.strip().split(":") if isinstance(text, str) else ()
         if len(parts) not in (2, 3) or not all(p.isascii() and p.isdigit() for p in parts):
-            raise ValueError(f"not a valid HH:MM time: {text!r}")
+            raise ValueError(f"not a valid HH:MM time: {_excerpt(text, repr) if parts else repr(text)}")
         # Digits only, so never negative. Without its leading zeros a field in range has at most 2 digits,
         # so no longer one reaches int(), which refuses a string of over 4,300 digits.
         hour, minute, *second = [p.lstrip("0") or "0" for p in parts]
         for name, field, bound in [("second", s, 60) for s in second] + [("hour", hour, 24), ("minute", minute, 60)]:
             if len(field) > 2 or int(field) >= bound:
-                raise ValueError(f"{name} out of range [0, {bound}): {field}")
+                raise ValueError(f"{name} out of range [0, {bound}): {_excerpt(field, unit='digits')}")
         return cls(int(hour) * 60 + int(minute))
 
     def __str__(self) -> str:  # HH:MM, the JSON render's time too: one read of the minutes, no properties
@@ -231,8 +213,7 @@ def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
 
 def capacity(scheme: RowScheme) -> int:
     """Number of distinct states the scheme can display."""
-    top = scheme.rows[0]  # RowScheme holds the unit recurrence, so the top row's unit is the rest's product
-    return top.unit_value * (top.lamp_count + 1)
+    return scheme._units[0] * (scheme.lamp_counts[0] + 1)  # the top row's unit is the product of the rest
 
 
 def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
@@ -257,10 +238,10 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
 
     units = remainder = minutes // scheme.base_unit_minutes
     digits = []
-    for row in scheme.rows:
-        digits.append(remainder // row.unit_value)  # two operators cost less than a call to divmod
-        remainder %= row.unit_value
-    if digits[0] > scheme.rows[0].lamp_count:  # only the top row can overflow
+    for unit in scheme._units:
+        digits.append(remainder // unit)  # two operators cost less than a call to divmod
+        remainder %= unit
+    if digits[0] > scheme.lamp_counts[0]:  # only the top row can overflow
         raise ValueError(f"time {time} is past the capacity of scheme {scheme.name!r}")
     return _state(tuple(digits), meridiem, scheme, units)
 
@@ -288,16 +269,15 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
     be supplied by the caller. Rows must match the scheme's widths exactly
     and be monotonically left-filled.
     """
-    rows = text.split("/")
-    if len(rows) != len(scheme.rows):
-        raise BitsParseError(f"expected {len(scheme.rows)} rows separated by '/', got {len(rows)}")
+    rows, counts = text.split("/"), scheme.lamp_counts
+    if len(rows) != len(counts):
+        raise BitsParseError(f"expected {len(counts)} rows separated by '/', got {len(rows)}")
 
     digits, units = [], 0
-    for bits, row in zip(rows, scheme.rows):
-        n = row.lamp_count
+    for bits, n in zip(rows, counts):
         zeros = bits.lstrip("1")  # what follows the lit lamps, all 0s in a left-filled row
         if len(bits) != n or zeros.strip("0"):  # the happy path's one test of all 3 rules
-            k = scheme.rows.index(row) + 1  # rows differ in unit_value, so this is the row's own number
+            k = len(digits) + 1  # one digit per row passed: lamp counts repeat, so counts.index(n) could miss
             if len(bits) != n:
                 raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
             if bits.strip("01"):
@@ -319,15 +299,14 @@ def _check_state(state: DisplayState, scheme: RowScheme) -> int:
     checked_scheme, units = state._checked  # one slot: two could pair one thread's scheme with another's units
     if checked_scheme is scheme:  # checked against this very object: by _state's caller, or below
         return units
-    digits, rows = state.digits, scheme.rows
-    if len(digits) != len(rows):
-        raise InvalidStateError(f"state has {len(digits)} digits, scheme {scheme.name!r} has {len(rows)} rows")
+    digits, counts = state.digits, scheme.lamp_counts
+    if len(digits) != len(counts):
+        raise InvalidStateError(f"state has {len(digits)} digits, scheme {scheme.name!r} has {len(counts)} rows")
     units = 0
-    for digit, row in zip(digits, rows):
-        if digit > row.lamp_count:  # rows differ in unit_value, so index() finds this one
-            raise InvalidStateError(
-                f"row {rows.index(row) + 1} shows {digit} lit lamps but only has {row.lamp_count}")
-        units += digit * row.unit_value
+    for row, (digit, lamps, unit) in enumerate(zip(digits, counts, scheme._units), 1):
+        if digit > lamps:
+            raise InvalidStateError(f"row {row} shows {digit} lit lamps but only has {lamps}")
+        units += digit * unit
     _check_meridiem(scheme, state.meridiem)
     _set_checked(state, (scheme, units))  # only once every check has passed
     return units
@@ -361,7 +340,7 @@ def validate(scheme: RowScheme) -> ValidationReport:
     """Report whether the scheme's capacity covers its cycle.
 
     That is the one rule a built scheme can break: :class:`RowScheme`
-    enforces the unit recurrence. A shortfall is data, not an exception:
+    derives its units from its lamp counts. A shortfall is data, not an exception:
     callers that need a hard failure (catalog loading, scheme construction
     helpers) raise on a non-ok report themselves.
     """

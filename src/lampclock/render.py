@@ -9,7 +9,6 @@ right of an unlit one.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
 
 from .codec import _AM, DisplayState, RowScheme, _check_state, _Record, decode
 from .errors import InvalidStateError, RenderError
@@ -46,7 +45,6 @@ _TRIANGLE, _LEFT, _BLOCKS = Layout.TRIANGLE_CENTERED, Layout.LEFT_ALIGNED, Layou
 _ANSI_CELLS = {(blocks, use_color): {color: cell.format(f"\x1b[{code}m{LIT_GLYPH}\x1b[0m" if use_color else LIT_GLYPH)
                                      for color, code in ANSI_COLOR_CODES.items()} | {None: cell.format(UNLIT_GLYPH)}
                for blocks, cell in ((False, "{} "), (True, "[{}]")) for use_color in (False, True)}
-_lamp_count = attrgetter("lamp_count")
 _quote = None  # json.dumps's escaper, bound on the first JSON render so that only JSON loads json
 
 
@@ -65,7 +63,7 @@ class RenderSpec(_Record):
 
 def default_layout(scheme: RowScheme) -> Layout:
     """Blocks for the Berlin clock, a 4-row scheme named "berlin"; a centered triangle otherwise."""
-    berlin = scheme.name == "berlin" and len(scheme.rows) == 4
+    berlin = scheme.name == "berlin" and len(scheme.lamp_counts) == 4
     return Layout.BERLIN_BLOCKS if berlin else Layout.TRIANGLE_CENTERED
 
 
@@ -76,10 +74,9 @@ def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     if fmt is _JSON:
         return _render_json(state, scheme)
     if fmt is _BITS:
-        return "/".join(["1" * digit + "0" * (row.lamp_count - digit)
-                         for digit, row in zip(state.digits, scheme.rows)])
-    if spec.layout is _BLOCKS and len(scheme.rows) != 4:
-        raise RenderError(f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.rows)}")
+        return "/".join(["1" * digit + "0" * (lamps - digit) for digit, lamps in zip(state.digits, scheme.lamp_counts)])
+    if spec.layout is _BLOCKS and len(scheme.lamp_counts) != 4:
+        raise RenderError(f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.lamp_counts)}")
     meridiem = state.meridiem  # which sets the one lit color, and whether 11-lamp rows are accented
     color = DEFAULT_LIT_COLOR if meridiem is None else AM_COLOR if meridiem is _AM else PM_COLOR
     return (_render_ansi if fmt is _ANSI else _render_svg)(state, scheme, spec, color, meridiem is None)
@@ -100,7 +97,7 @@ def _render_json(state: DisplayState, scheme: RowScheme) -> str:
 
 
 def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color: str, accent: bool) -> str:
-    max_lamps = max(map(_lamp_count, scheme.rows))
+    max_lamps = max(scheme.lamp_counts)
     blocks = spec.layout is _BLOCKS
     cells = _ANSI_CELLS[blocks, spec.use_color]
     # Center each row over the widest row, half a cell per lamp it lacks, unless the layout is left-aligned:
@@ -110,8 +107,7 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color
     lit, unlit = cells[color], cells[None]
     accented = [lit, lit, cells[ACCENT_COLOR]] * 4 if accent else None  # an accented row's lit cells are a prefix
     lines = []
-    for digit, row in zip(state.digits, scheme.rows):
-        lamps = row.lamp_count
+    for digit, lamps in zip(state.digits, scheme.lamp_counts):
         run = "".join(accented[:digit]) if lamps == 11 and accent else lit * digit
         lines.append(" " * ((max_lamps - lamps) * cell_width // 2) + (run + unlit * (lamps - digit))[:cut])
     return "\n".join(lines)
@@ -119,8 +115,8 @@ def _render_ansi(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color
 
 def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color: str, accent: bool) -> str:
     pitch = SVG_PITCH
-    max_lamps = max(map(_lamp_count, scheme.rows))
-    width, height = max_lamps * pitch, len(scheme.rows) * pitch
+    max_lamps = max(scheme.lamp_counts)
+    width, height = max_lamps * pitch, len(scheme.lamp_counts) * pitch
     blocks, centered = spec.layout is _BLOCKS, spec.layout is _TRIANGLE
     radius = f'" r="{pitch * 2 // 5}" fill="'
 
@@ -128,8 +124,7 @@ def _render_svg(state: DisplayState, scheme: RowScheme, spec: RenderSpec, color:
     shapes = [f'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
               f'height="{height}" viewBox="0 0 {width} {height}">']
     add = shapes.append
-    for y, digit, row in zip(range(0, height, pitch), state.digits, scheme.rows):
-        lamps = row.lamp_count
+    for y, digit, lamps in zip(range(0, height, pitch), state.digits, scheme.lamp_counts):
         if blocks:
             # ints, where the width divides evenly, print as :g prints them below 10**6, for a third of the cost
             cell, g = (width // lamps, "") if width % lamps == 0 else (width / lamps, "g")

@@ -103,7 +103,7 @@ def test_criterion_5_round_trip_exhaustion():
     state_count = 0
     for scheme in (TRIANGULAR, BERLIN):
         meridiem = Meridiem.AM if scheme.has_meridiem else None
-        ranges = [range(row.lamp_count + 1) for row in scheme.rows]
+        ranges = [range(lamps + 1) for lamps in scheme.lamp_counts]
         for digits in product(*ranges):
             state = DisplayState(digits, meridiem)
             assert parse_bits(render(state, scheme, BITS), scheme, meridiem) == state

@@ -30,8 +30,8 @@ def test_builtin_names():
 
 
 def test_builtin_units():
-    assert [r.unit_value for r in TRIANGULAR.rows] == [360, 120, 30, 6, 1]
-    assert [r.unit_value for r in BERLIN.rows] == [300, 60, 5, 1]
+    assert TRIANGULAR._units == (360, 120, 30, 6, 1)
+    assert BERLIN._units == (300, 60, 5, 1)
     assert TRIANGULAR.cycle_minutes == 720
     assert BERLIN.cycle_minutes == 1440
 
@@ -52,7 +52,7 @@ def test_load_scheme_derives_units(tmp_path):
     )
     scheme = load_scheme(path)
     assert scheme.name == "mini"
-    assert [r.unit_value for r in scheme.rows] == [6, 1]
+    assert scheme._units == (6, 1)
     assert validate(scheme).ok
 
 
@@ -103,7 +103,7 @@ def test_load_scheme_malformed_payloads(tmp_path, payload):
 
 @pytest.mark.parametrize("lamps", [MAX_LAMPS_PER_ROW + 1, 10**9, 10**100])
 def test_load_scheme_rejects_overlong_rows(tmp_path, lamps):
-    # derive_units sees a row of 10**100 lamps, past 2**64 states, before RowSpec does
+    # derive_units sees a row of 10**100 lamps, past 2**64 states, before the row bound does
     message = r"capacity must be below 2\*\*64" if lamps == 10**100 else "at most 1440"
     payload = {"name": "wide", "cycle_minutes": 1440, "rows": [{"lamps": 1}, {"lamps": lamps}]}
     path = write_scheme(tmp_path, payload)
@@ -116,7 +116,7 @@ def test_load_scheme_rejects_overlong_rows(tmp_path, lamps):
 def test_load_scheme_accepts_the_longest_row(tmp_path):
     payload = {"name": "wide", "cycle_minutes": 1440, "rows": [{"lamps": MAX_LAMPS_PER_ROW}]}
     scheme = load_scheme(write_scheme(tmp_path, payload))
-    assert tuple(row.lamp_count for row in scheme.rows) == (1440,)
+    assert scheme.lamp_counts == (1440,)
 
 
 def test_load_scheme_bad_json(tmp_path):
@@ -136,7 +136,7 @@ class _PathLike:
 
 @pytest.mark.parametrize("wrap", [str, pathlib.Path, _PathLike], ids=["str", "Path", "PathLike"])
 def test_load_scheme_takes_any_path(tmp_path, wrap):
-    rows = [{"lamps": row.lamp_count} for row in TRIANGULAR.rows]
+    rows = [{"lamps": lamps} for lamps in TRIANGULAR.lamp_counts]
     path = write_scheme(tmp_path, {"name": "triangular", "cycle_minutes": 720, "rows": rows})
     assert load_scheme(wrap(path)) == TRIANGULAR
 

@@ -96,6 +96,15 @@ class TestShow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "out of range" in err and "set_int_max_str_digits" not in err
 
+    # the error quotes the first 20 characters of a long field or time, and its length
+    @pytest.mark.parametrize("time, message", [
+        ("04:" + "9" * 5000, "error: minute out of range [0, 60): " + "9" * 20 + "... (5000 digits)"),
+        ("04:49x" + "9" * 5000, "error: not a valid HH:MM time: '04:49x" + "9" * 14 + "'... (5006 characters)"),
+    ], ids=["field", "time"])
+    def test_long_time_error_is_one_short_line(self, time, message, capsys):
+        assert main(["show", "--time", time]) == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines() == [message] and len(message) < 120
+
     def test_unknown_scheme_is_scheme_error(self, capsys):
         assert main(["show", "--scheme", "sundial"]) == EXIT_SCHEME
         assert "sundial" in capsys.readouterr().err
@@ -246,6 +255,23 @@ class TestSchemes:
 
     def test_count_excludes_filters(self, capsys):
         assert main(["schemes", "720", "--count", "--triangular"]) == EXIT_INPUT
+
+    # int() refuses a string of over 4,300 digits, which is a positive integer all the same
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_limit_of_any_length_is_lowered_to_the_cap(self, digits, capsys):
+        assert main(["schemes", "720", "--limit", "1000000"]) == EXIT_OK
+        capped = capsys.readouterr().out
+        assert main(["schemes", "720", "--limit", "1" * digits]) == EXIT_OK
+        assert capsys.readouterr().out == capped and capped.count("\n") == 1888
+
+    @pytest.mark.parametrize("limit", ["0" * 5000, "x" * 5000, "-" + "1" * 5000, "1.5" + "0" * 5000],
+                             ids=["zeros", "letters", "negative", "fraction"])
+    def test_long_limit_that_is_no_positive_integer(self, limit, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse("schemes", "720", "--limit", limit)
+        assert exc.value.code == EXIT_INPUT
+        message = f"must be a positive integer, got {limit[:20]}... ({len(limit)} characters)"
+        assert capsys.readouterr().err.endswith(f"error: argument --limit: {message}\n")
 
     @pytest.mark.parametrize("argv, code, stdout, stderr", [
         (["schemes", "1000000000000000000", "--limit", "5"], EXIT_INPUT, "", "more than 5 shapes"),
@@ -501,13 +527,15 @@ class TestTick:
     def test_interval_must_be_positive(self):
         assert main(["tick", "--interval", "0"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("interval", ["86401", "100000000000000000000"])
+    @pytest.mark.parametrize("interval", ["86401", "100000000000000000000", "9" * 4000, "1" * 5000],
+                             ids=["86401", "10**20", "4000-digits", "5000-digits"])
     def test_interval_is_at_most_a_day(self, interval, capsys):
         # parsed, not run: an unbounded interval would sleep, or overflow time.sleep
         with pytest.raises(SystemExit) as exc:
             parse("tick", "--interval", interval)
         assert exc.value.code == EXIT_INPUT
-        assert "at most 86400" in capsys.readouterr().err
+        shown = interval if len(interval) <= 20 else f"{interval[:20]}... ({len(interval)} characters)"
+        assert capsys.readouterr().err.endswith(f"must be at most 86400 seconds, got {shown}\n")
         assert parse("tick", "--interval", "86400").interval == 86400
 
     def test_scripted_source_accepts_endless_iterables(self):

@@ -21,7 +21,6 @@ from lampclock import (
     RenderFormat,
     RenderSpec,
     RowScheme,
-    RowSpec,
     TimeOfDay,
     ValidationReport,
     capacity,
@@ -69,11 +68,11 @@ class TestTimeOfDay:
         assert TimeOfDay.parse(text) == TimeOfDay(289)
 
     @pytest.mark.parametrize("text, message", [
-        ("1" * 5000 + ":00", "hour out of range [0, 24): " + "1" * 5000),
+        ("1" * 5000 + ":00", "hour out of range [0, 24): " + "1" * 20 + "... (5000 digits)"),
         ("0" * 5000 + "24:00", "hour out of range [0, 24): 24"),
-        ("04:" + "9" * 5000, "minute out of range [0, 60): " + "9" * 5000),
+        ("04:" + "9" * 5000, "minute out of range [0, 60): " + "9" * 20 + "... (5000 digits)"),
         ("04:49:" + "0" * 5000 + "60", "second out of range [0, 60): 60"),
-        ("04:49:" + "1" * 10**6, "second out of range [0, 60): " + "1" * 10**6),
+        ("04:49:" + "1" * 10**6, "second out of range [0, 60): " + "1" * 20 + "... (1000000 digits)"),
         ("04:49:060", "second out of range [0, 60): 60"),
     ], ids=["hour", "hour-5002", "minute", "second-5002", "second-10**6", "second-3"])
     def test_parse_rejects_long_fields_as_out_of_range(self, text, message):
@@ -188,15 +187,14 @@ class TestEncode:
             encode(TimeOfDay(120), hour_face)
 
     def test_time_past_a_short_schemes_capacity_rejected(self):
-        short = RowScheme("short", (RowSpec(2, 4), RowSpec(3, 1)), 720)  # 12 states; validate reports it
+        short = RowScheme("short", (2, 3), 720)  # 12 states; validate reports it
         assert encode(TimeOfDay(11), short).digits == (2, 3)
         with pytest.raises(ValueError, match="time 01:40 is past the capacity of scheme 'short'"):
             encode(TimeOfDay(100), short)
 
     @given(lamp_count_lists, st.integers(1, 1440) | st.sampled_from([720, 1440]), st.integers(1, 3))
     def test_every_minute_encodes_to_a_showable_state_or_raises(self, lamps, cycle, base_unit):
-        rows = tuple(RowSpec(n, unit) for n, unit in zip(lamps, derive_units(lamps)))
-        scheme = RowScheme("any", rows, cycle, base_unit)  # short of its cycle, maybe
+        scheme = RowScheme("any", lamps, cycle, base_unit)  # short of its cycle, maybe
         bits = RenderSpec(format=RenderFormat.BITS)
         for minutes in range(1440):
             shown = minutes % 720 if scheme.has_meridiem else minutes
@@ -218,7 +216,7 @@ class TestEncode:
     def test_digits_never_exceed_lamp_counts(self, pair):
         scheme, t = pair
         state = encode(t, scheme)
-        assert all(d <= row.lamp_count for d, row in zip(state.digits, scheme.rows))
+        assert all(d <= lamps for d, lamps in zip(state.digits, scheme.lamp_counts))
 
     @given(scheme_and_time())
     def test_round_trip_any_scheme(self, pair):
@@ -246,6 +244,15 @@ class TestDecode:
         # rows 3 and 4 both show 5 lamps; only row 4, of 4 lamps, is over-full
         with pytest.raises(InvalidStateError) as info:
             decode(DisplayState((0, 0, 5, 5)), BERLIN)
+        assert str(info.value) == "row 4 shows 5 lit lamps but only has 4"
+
+    # Berlin's bottom row has 4 lamps, as its first two rows do: the error names it by its place
+    @pytest.mark.parametrize("check", [
+        decode, *(lambda state, scheme, fmt=fmt: render(state, scheme, RenderSpec(fmt)) for fmt in RenderFormat),
+    ], ids=["decode", *(f"render-{fmt.value}" for fmt in RenderFormat)])
+    def test_over_full_bottom_row_of_berlin_is_row_4(self, check):
+        with pytest.raises(InvalidStateError) as info:
+            check(DisplayState((0, 0, 0, 5)), BERLIN)
         assert str(info.value) == "row 4 shows 5 lit lamps but only has 4"
 
     def test_wrong_digit_count_rejected(self):
@@ -276,12 +283,13 @@ def test_round_trip_every_minute(scheme):
 def test_decode_injective_over_all_states(scheme):
     # the weighted digit sums number the states 0 to capacity - 1; decode reads every sum inside
     # the cycle off its own state, and refuses the rest (Berlin's 60 surplus states)
-    ranges = [range(row.lamp_count + 1) for row in scheme.rows]
+    ranges = [range(lamps + 1) for lamps in scheme.lamp_counts]
+    units = derive_units(scheme.lamp_counts)
     meridiem = Meridiem.AM if scheme.has_meridiem else None
     sums, times = [], []
     for digits in product(*ranges):
         state = DisplayState(digits, meridiem)
-        sums.append(sum(digit * row.unit_value for digit, row in zip(digits, scheme.rows)))
+        sums.append(sum(digit * unit for digit, unit in zip(digits, units)))
         if sums[-1] < scheme.cycle_minutes:
             times.append(decode(state, scheme).minutes_since_midnight)
         else:
@@ -379,6 +387,14 @@ class TestParseBits:
         assert type(twin) is MonotoneFillError and twin is not error
         assert (twin.row, str(twin), twin.args) == (error.row, str(error), error.args)
 
+    # Berlin's rows 1, 2 and 4 each have 4 lamps: a row is named by its place, not found by its width
+    def test_berlin_rows_are_named_by_place(self):
+        with pytest.raises(MonotoneFillError) as exc_info:
+            parse_bits("0000/0100/00000000000/0000", BERLIN)
+        assert exc_info.value.row == 2 and "row 2 " in str(exc_info.value)
+        with pytest.raises(BitsParseError, match="^row 4 must have 4 bits, got 5$"):
+            parse_bits("0000/0000/00000000000/00000", BERLIN)
+
     def test_row_count_mismatch(self):
         with pytest.raises(BitsParseError):
             parse_bits("0/11/100", TRIANGULAR, Meridiem.AM)
@@ -412,7 +428,7 @@ def test_each_row_reports_its_first_broken_rule(scheme, data):
     # width comes first, then characters; without its own width test, a row of n + 1 ones
     # would pass for n lamps, as it is left-filled
     meridiem = Meridiem.AM if scheme.has_meridiem else None
-    lamp_counts = tuple(row.lamp_count for row in scheme.rows)
+    lamp_counts = scheme.lamp_counts
     digits = [data.draw(st.integers(0, n)) for n in lamp_counts]
     rows = ["1" * d + "0" * (n - d) for d, n in zip(digits, lamp_counts)]
     assert parse_bits("/".join(rows), scheme, meridiem).digits == tuple(digits)
@@ -427,15 +443,16 @@ def test_each_row_reports_its_first_broken_rule(scheme, data):
 
 
 def test_all_on_is_capacity_minus_one():
-    all_on = DisplayState((row.lamp_count for row in TRIANGULAR.rows), Meridiem.AM)
+    all_on = DisplayState(TRIANGULAR.lamp_counts, Meridiem.AM)
     assert decode(all_on, TRIANGULAR) == TimeOfDay.parse("11:59")
     assert decode(all_on, TRIANGULAR).minutes_since_midnight == capacity(TRIANGULAR) - 1
 
 
 @given(valid_schemes())
 def test_all_on_sum_property(scheme):
-    all_on = DisplayState((row.lamp_count for row in scheme.rows), Meridiem.AM if scheme.has_meridiem else None)
-    total = sum(row.lamp_count * row.unit_value for row in scheme.rows) * scheme.base_unit_minutes
+    lamp_counts = scheme.lamp_counts
+    all_on = DisplayState(lamp_counts, Meridiem.AM if scheme.has_meridiem else None)
+    total = sum(lamps * unit for lamps, unit in zip(lamp_counts, derive_units(lamp_counts))) * scheme.base_unit_minutes
     assert total == (capacity(scheme) - 1) * scheme.base_unit_minutes
     if total < scheme.cycle_minutes:
         assert decode(all_on, scheme).minutes_since_midnight == total
@@ -450,42 +467,37 @@ class TestValidate:
         assert validate(BERLIN).ok
         assert str(validate(BERLIN)) == "ok"
 
-    def test_recurrence_breach_rejected_at_construction(self):
-        rows = tuple(
-            RowSpec(lamps, unit)
-            for lamps, unit in zip([1, 2, 3, 4, 5], [360, 100, 30, 6, 1])
-        )
-        # 360 != (2+1)*100 and 100 != (3+1)*30: the message gives the derived units
-        with pytest.raises(InvalidSchemeError,
-                           match=r"^scheme 'broken': .* give \[360, 120, 30, 6, 1\]$"):
-            RowScheme("broken", rows, cycle_minutes=720)
-        # a 2-lamp bottom row under a unit of 5 would encode 3 lit lamps on it
-        with pytest.raises(InvalidSchemeError, match="scheme 'b'"):
-            RowScheme("b", (RowSpec(1, 5), RowSpec(2, 1)), 6)
-
     def test_capacity_shortfall(self):
-        scheme = RowScheme(
-            "short", (RowSpec(1, 3), RowSpec(2, 1)), cycle_minutes=720
-        )
+        scheme = RowScheme("short", (1, 2), cycle_minutes=720)
         report = validate(scheme)
         assert report == ValidationReport(capacity_minutes=6, cycle_minutes=720) and not report.ok
         assert str(report) == "capacity shortfall: scheme covers 6 minutes but the cycle is 720"
 
-    def test_non_unit_bottom_row_rejected_at_construction(self):
-        with pytest.raises(InvalidSchemeError, match=r"^scheme 'scaled': .* give \[3, 1\]$"):
-            RowScheme("scaled", (RowSpec(1, 6), RowSpec(2, 2)), cycle_minutes=6)
-
-    @given(lamp_count_lists, st.integers(min_value=1, max_value=1440), st.data())
-    def test_construction_owns_the_recurrence(self, counts, cycle, data):
-        rows = [RowSpec(lamps, unit) for lamps, unit in zip(counts, derive_units(counts))]
-        scheme = RowScheme("s", rows, cycle)
+    @given(lamp_count_lists, st.integers(min_value=1, max_value=1440))
+    def test_construction_owns_the_recurrence(self, counts, cycle):
+        scheme = RowScheme("s", counts, cycle)
+        assert scheme._units == tuple(derive_units(counts))
+        assert capacity(scheme) == math.prod(lamps + 1 for lamps in counts)
         assert validate(scheme) == ValidationReport(capacity(scheme), cycle)
         assert validate(scheme).ok == (capacity(scheme) >= cycle)
-        k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
-        unit = data.draw(st.integers(min_value=1).filter(lambda u: u != rows[k].unit_value))
-        rows[k] = RowSpec(rows[k].lamp_count, unit)
-        with pytest.raises(InvalidSchemeError, match="^scheme 's': "):
-            RowScheme("s", rows, cycle)
+
+    # a scheme is its lamp counts: its units are derived, never pickled, and derived again on unpickling
+    @given(lamp_count_lists, st.integers(1, 1440) | st.sampled_from([720, 1440]), st.integers(0, 1439))
+    def test_a_scheme_is_its_lamp_counts(self, counts, cycle, minutes):
+        scheme = RowScheme("s", counts, cycle)
+        assert scheme._units == tuple(derive_units(counts))
+        if validate(scheme).ok:
+            assert make_scheme("s", counts, cycle) == scheme
+        try:
+            shown = encode(TimeOfDay(minutes), scheme)
+        except ValueError as exc:
+            shown = str(exc)
+        for clone in (pickle.loads(pickle.dumps(scheme)), copy.deepcopy(scheme)):
+            assert clone == scheme and clone is not scheme and clone._units == scheme._units
+            try:
+                assert encode(TimeOfDay(minutes), clone) == shown
+            except ValueError as exc:
+                assert str(exc) == shown
 
     def test_surplus_capacity_is_legal(self):
         assert capacity(BERLIN) == 1500 > BERLIN.cycle_minutes
@@ -497,19 +509,13 @@ class TestValidate:
 
 
 class TestConstruction:
-    def test_rowspec_rejects_nonpositive(self):
-        with pytest.raises(InvalidSchemeError):
-            RowSpec(0, 1)
-        with pytest.raises(InvalidSchemeError):
-            RowSpec(1, 0)
-
     def test_scheme_rejects_empty_rows(self):
         with pytest.raises(InvalidSchemeError):
             RowScheme("empty", (), cycle_minutes=720)
 
     def test_scheme_rejects_nonpositive_cycle(self):
         with pytest.raises(InvalidSchemeError):
-            RowScheme("bad", (RowSpec(1, 1),), cycle_minutes=0)
+            RowScheme("bad", (1,), cycle_minutes=0)
 
     def test_meridiem_only_on_half_day_cycles(self):
         assert TRIANGULAR.has_meridiem

@@ -82,7 +82,7 @@ def test_schemes_count_loads_schemes():
 PUBLIC_NAMES = [
     "BERLIN", "BUILTIN_SCHEMES", "BitsParseError", "ClockError", "DisplayState",
     "EnumerationCapError", "InvalidSchemeError", "InvalidStateError", "Layout", "Meridiem",
-    "MonotoneFillError", "RenderError", "RenderFormat", "RenderSpec", "RowScheme", "RowSpec",
+    "MonotoneFillError", "RenderError", "RenderFormat", "RenderSpec", "RowScheme",
     "SchemeShape", "ScriptedTimeSource", "ShapeClass", "SystemTimeSource", "TimeOfDay",
     "TimeSource", "TRIANGULAR", "ValidationReport", "capacity", "count_shapes", "decode",
     "derive_units", "encode", "enumerate_shapes", "is_triangular_feasible",
@@ -112,14 +112,16 @@ def test_unknown_attribute_is_an_attribute_error():
 
 
 # validate's one rule needs one record, decode alone reads a state's time, codec alone reads a bit
-# string back, and no code uses the shape, time and scheme helpers that only tests called
+# string back, no code uses the shape, time and scheme helpers that only tests called, and a scheme
+# is its lamp counts, which fix its units: it keeps no row records
 @pytest.mark.parametrize("module, owner, name", [
     ("lampclock", None, "Violation"), ("lampclock.codec", None, "Violation"),
     ("lampclock", None, "classify"), ("lampclock.schemes", None, "classify"),
     ("lampclock.schemes", "SchemeShape", "from_lamp_counts"), ("lampclock.schemes", "SchemeShape", "state_count"),
     ("lampclock", None, "decode_minutes"), ("lampclock.codec", None, "decode_minutes"),
     ("lampclock", "TimeOfDay", "hour"), ("lampclock", "TimeOfDay", "minute"),
-    ("lampclock", "RowScheme", "lamp_counts"), ("lampclock.render", None, "parse_bits"),
+    ("lampclock.render", None, "parse_bits"),
+    ("lampclock", None, "RowSpec"), ("lampclock.codec", None, "RowSpec"), ("lampclock", "RowScheme", "rows"),
 ])
 def test_removed_names_stay_gone(module, owner, name):
     found = importlib.import_module(module)

@@ -20,7 +20,6 @@ from lampclock import (
     RenderFormat,
     RenderSpec,
     RowScheme,
-    RowSpec,
     SchemeShape,
     ShapeClass,
     TimeOfDay,
@@ -36,16 +35,11 @@ from lampclock.codec import _Record
 # (value, an equal value built afresh, a value differing in one field,
 #  the plain tuple of its fields, its exact repr)
 CASES = {
-    "RowSpec": (
-        RowSpec(1, 360), RowSpec(lamp_count=1, unit_value=360), RowSpec(1, 120),
-        (1, 360), "RowSpec(lamp_count=1, unit_value=360)",
-    ),
     "RowScheme": (
-        RowScheme("s", (RowSpec(2, 1),), 3), RowScheme("s", [RowSpec(2, 1)], 3, 1),
-        RowScheme("s", (RowSpec(2, 1),), 3, 2),
-        ("s", (RowSpec(2, 1),), 3, 1),
-        "RowScheme(name='s', rows=(RowSpec(lamp_count=2, unit_value=1),), "
-        "cycle_minutes=3, base_unit_minutes=1)",
+        RowScheme("s", (2,), 3), RowScheme(name="s", lamp_counts=[2], cycle_minutes=3, base_unit_minutes=1),
+        RowScheme("s", (2,), 3, 2),
+        ("s", (2,), 3, 1),
+        "RowScheme(name='s', lamp_counts=(2,), cycle_minutes=3, base_unit_minutes=1)",
     ),
     "TimeOfDay": (
         TimeOfDay(289), TimeOfDay.parse("04:49"), TimeOfDay(290),
@@ -78,7 +72,7 @@ CASES = {
     ),
 }
 NAMES = sorted(CASES)
-FIELD = {"RowSpec": "unit_value", "RowScheme": "rows", "TimeOfDay": "minutes_since_midnight",
+FIELD = {"RowScheme": "lamp_counts", "TimeOfDay": "minutes_since_midnight",
          "DisplayState": "digits", "ValidationReport": "capacity_minutes",
          "RenderSpec": "layout", "SchemeShape": "lamp_counts"}
 
@@ -132,23 +126,19 @@ def test_pickle_and_copy_round_trip(name):
 
 
 class TestConstructors:
-    @pytest.mark.parametrize("lamps, unit", [
-        (0, 1), (1, 0), (-1, 5), (1.5, 1), (2.0, 1), (True, 1), ("2", 1), (1, 1.0), (1, True),
-        (1441, 1), (10**9, 1),
-    ])
-    def test_row_spec_rejects(self, lamps, unit):
-        with pytest.raises(InvalidSchemeError):
-            RowSpec(lamps, unit)
+    @pytest.mark.parametrize("lamps", [0, -1, 1.5, 2.0, True, "2", None, (1, 1), 1441, 10**9], ids=repr)
+    def test_row_scheme_rejects_lamp_counts(self, lamps):
+        with pytest.raises(InvalidSchemeError, match="^scheme 's': "):
+            RowScheme("s", (2, lamps), 6)
 
-    @pytest.mark.parametrize("rows, cycle, base", [
-        ((), 1, 1), ((RowSpec(1, 1),), 0, 1), ((RowSpec(1, 1),), 2, 0),
-        ((RowSpec(1, 1),), 6.0, 1), ((RowSpec(1, 1),), True, 1), ((RowSpec(1, 1),), "2", 1),
-        ((RowSpec(1, 1),), 2, 1.0), ((RowSpec(1, 1),), 2, True),
-        ((1,), 2, 1), ((RowSpec(1, 1), (1, 1)), 2, 1),  # rows that are not RowSpecs
+    @pytest.mark.parametrize("counts, cycle, base", [
+        ((), 1, 1), ((1,), 0, 1), ((1,), 2, 0),
+        ((1,), 6.0, 1), ((1,), True, 1), ((1,), "2", 1),
+        ((1,), 2, 1.0), ((1,), 2, True),
     ])
-    def test_row_scheme_rejects(self, rows, cycle, base):
+    def test_row_scheme_rejects(self, counts, cycle, base):
         with pytest.raises(InvalidSchemeError, match="scheme 's'"):
-            RowScheme("s", rows, cycle, base)
+            RowScheme("s", counts, cycle, base)
 
     @pytest.mark.parametrize("lamps, cycle", [([1.5, 2], 6), ([True, 2], 6), ([1, 2], 6.0)])
     def test_make_scheme_rejects_non_integers(self, lamps, cycle):
@@ -158,16 +148,24 @@ class TestConstructors:
     @pytest.mark.parametrize("name", [5, "", None, b"s", ["s"]], ids=repr)
     def test_row_scheme_rejects_names(self, name):
         with pytest.raises(InvalidSchemeError, match="name must be a non-empty string"):
-            RowScheme(name, (RowSpec(2, 1),), 3)
+            RowScheme(name, (2,), 3)
         with pytest.raises(InvalidSchemeError, match="name must be a non-empty string"):
             make_scheme(name, [1, 2, 3, 4, 5], 720)
 
-    def test_row_scheme_rows_become_a_tuple(self):
-        rows = [RowSpec(2, 1)]
-        scheme = RowScheme("s", rows, 3)
-        assert scheme.rows == (RowSpec(2, 1),) and type(scheme.rows) is tuple
-        assert RowScheme("s", iter(rows), 3) == scheme
+    def test_row_scheme_lamp_counts_become_a_tuple(self):
+        counts = [2]
+        scheme = RowScheme("s", counts, 3)
+        assert scheme.lamp_counts == (2,) and type(scheme.lamp_counts) is tuple
+        assert RowScheme("s", iter(counts), 3) == scheme
         assert scheme.base_unit_minutes == 1
+
+    # the units follow from the lamp counts, so they are derived data, not an argument
+    def test_row_scheme_derives_its_units(self):
+        assert RowScheme.__slots__ == ("name", "lamp_counts", "cycle_minutes", "base_unit_minutes", "_units")
+        assert RowScheme._fields == RowScheme.__slots__[:4]
+        assert RowScheme("s", (1, 2, 3, 4, 5), 720)._units == (360, 120, 30, 6, 1)
+        with pytest.raises(TypeError):
+            RowScheme("s", (1, 2), 6, 1, (3, 1))
 
     @pytest.mark.parametrize("minutes", [-1, 1440, 10**9, 5.5, 289.0, True, False, "289", None], ids=repr)
     def test_time_of_day_rejects(self, minutes):

@@ -21,7 +21,6 @@ from lampclock import (
     RenderFormat,
     RenderSpec,
     RowScheme,
-    RowSpec,
     TimeOfDay,
     decode,
     encode,
@@ -85,7 +84,7 @@ def test_every_format_refuses_a_state_that_does_not_fit(fmt, scheme, state):
 @pytest.mark.parametrize("scheme", [TRIANGULAR, BERLIN], ids=lambda s: s.name)
 def test_bits_round_trip_every_state(scheme):
     meridiem = Meridiem.AM if scheme.has_meridiem else None
-    ranges = [range(row.lamp_count + 1) for row in scheme.rows]
+    ranges = [range(lamps + 1) for lamps in scheme.lamp_counts]
     for digits in product(*ranges):
         state = DisplayState(digits, meridiem)
         assert parse_bits(render(state, scheme, BITS), scheme, meridiem) == state
@@ -286,7 +285,7 @@ def drawn_state(data, lamps, scheme):
 
 @given(SVG_FACES, st.data(), st.booleans())
 def test_svg_matches_the_geometry_oracle(scheme, data, use_color):
-    lamps = [row.lamp_count for row in scheme.rows]
+    lamps = list(scheme.lamp_counts)
     layout = data.draw(st.sampled_from(layouts_of(lamps)))
     state = drawn_state(data, lamps, scheme)
     svg = render(state, scheme, RenderSpec(RenderFormat.SVG, layout, use_color))
@@ -297,7 +296,7 @@ def test_svg_matches_the_geometry_oracle(scheme, data, use_color):
 
 @given(SVG_FACES, st.data())
 def test_ansi_matches_the_geometry_oracle(scheme, data):
-    lamps = [row.lamp_count for row in scheme.rows]
+    lamps = list(scheme.lamp_counts)
     state = drawn_state(data, lamps, scheme)
     meridiem = state.meridiem and state.meridiem.value
     for layout in layouts_of(lamps):
@@ -367,7 +366,7 @@ class TestExactBytes:
         # a cy past a million would need 25,001 rows; such a scheme fails at once as it is built
         start = time.perf_counter()
         with pytest.raises(InvalidSchemeError, match=r"^scheme 'tall': capacity must be below 2\*\*64"):
-            RowScheme("tall", tuple(RowSpec(1, 1) for _ in range(25_001)), 1440)
+            RowScheme("tall", (1,) * 25_001, 1440)
         assert time.perf_counter() - start < 1
         rows = 63  # 2**63 states: one row more reaches 2**64
         scheme = make_scheme("tall", [1] * rows, 1440)
@@ -384,7 +383,7 @@ class TestExactBytes:
     @pytest.mark.parametrize("digit", range(12))
     def test_ansi_eleven_lamp_row_in_color(self, digit, meridiem):
         cycle = 1440 if meridiem is None else 720
-        scheme = RowScheme("eleven", (RowSpec(11, 1),), cycle)
+        scheme = RowScheme("eleven", (11,), cycle)
         painted = {"yellow": "\x1b[33m●\x1b[0m", "red": "\x1b[31m●\x1b[0m", "green": "\x1b[32m●\x1b[0m"}
         if meridiem is None:  # every third lamp accented red, the rest yellow
             colors = ["red" if i % 3 == 2 else "yellow" for i in range(digit)]
@@ -413,7 +412,7 @@ PINNED_FACES = {
 
 
 def pinned_specs(scheme):
-    layouts = [layout for layout in Layout if layout is not Layout.BERLIN_BLOCKS or len(scheme.rows) == 4]
+    layouts = [layout for layout in Layout if layout is not Layout.BERLIN_BLOCKS or len(scheme.lamp_counts) == 4]
     for fmt, layout, use_color in product([RenderFormat.ANSI, RenderFormat.SVG], layouts, [True, False]):
         key = f"{fmt.value} {layout.value} {'color' if use_color else 'plain'}"
         yield key, RenderSpec(format=fmt, layout=layout, use_color=use_color)
@@ -484,7 +483,7 @@ def test_every_minute_renders_the_pinned_bytes(key, name, spec):
 
 
 class TestRowWidthBound:
-    # RowSpec bounds every row, so no renderer, JSON included, is handed an overlong one
+    # RowScheme bounds every row, so no renderer, JSON included, is handed an overlong one
     @pytest.mark.parametrize("fmt", list(RenderFormat), ids=lambda f: f.value)
     @pytest.mark.parametrize("lamps", [MAX_LAMPS_PER_ROW + 1, 10**6, 10**7])
     def test_overlong_row_fails_before_drawing(self, fmt, lamps):
@@ -530,8 +529,8 @@ def lit_counts_per_row(rendered, fmt, scheme):
     root = ET.fromstring(rendered)
     counts = []
     shapes = list(root)
-    for row in scheme.rows:
-        row_shapes, shapes = shapes[: row.lamp_count], shapes[row.lamp_count :]
+    for lamps in scheme.lamp_counts:
+        row_shapes, shapes = shapes[:lamps], shapes[lamps:]
         counts.append(sum(1 for s in row_shapes if s.get("fill") != "#dddddd"))
     return counts
 
@@ -574,11 +573,11 @@ def test_bits_round_trip_random_schemes(pair):
        st.booleans())
 def test_every_format_renders_and_reads_back(pair, fmt, layout, use_color):
     scheme, t = pair
-    assume(layout is not Layout.BERLIN_BLOCKS or len(scheme.rows) == 4)
+    assume(layout is not Layout.BERLIN_BLOCKS or len(scheme.lamp_counts) == 4)
     state = encode(t, scheme)
     out = render(state, scheme, RenderSpec(format=fmt, layout=layout, use_color=use_color))
     if fmt is RenderFormat.SVG:
-        assert len(list(ET.fromstring(out))) == sum(row.lamp_count for row in scheme.rows)
+        assert len(list(ET.fromstring(out))) == sum(scheme.lamp_counts)
     elif fmt is RenderFormat.BITS:
         back = parse_bits(out, scheme, state.meridiem)
         assert back == state and decode(back, scheme) == t
