@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .codec import RowScheme, validate
+from .codec import RowScheme, _excerpt, validate
 from .errors import InvalidSchemeError
 
 # A scheme has at most 64 rows (its capacity is below 2**64), far less than this in JSON.
@@ -33,7 +33,7 @@ def make_scheme(
     scheme = RowScheme(name, lamp_counts, cycle_minutes, base_unit_minutes)
     report = validate(scheme)
     if not report.ok:
-        raise InvalidSchemeError(f"scheme {name!r} is invalid:\n{report}")
+        raise InvalidSchemeError(f"scheme {_excerpt(name)} is invalid:\n{report}")
     return scheme
 
 
@@ -55,33 +55,32 @@ def load_scheme(path: str | os.PathLike[str]) -> RowScheme:
     import json  # here, so that built-in schemes start without it
 
     path = os.fspath(path)
+    where = _excerpt(path, str, bound=100)  # a path's bound, longer than a name's, so that it names its file
     try:
         # O_NONBLOCK: a FIFO with no writer opens at once and then reads as empty, where a
         # blocking open would wait for a writer. Reads block again, so a pipe's data arrives.
         with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as f:
             os.set_blocking(f.fileno(), True)
             raw = f.read(MAX_SCHEME_FILE_BYTES + 1)
-    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
-        raise InvalidSchemeError(f"cannot read scheme file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte; an OSError's text repeats the path
+        raise InvalidSchemeError(f"cannot read scheme file {where}: {getattr(exc, 'strerror', None) or exc}") from exc
     if len(raw) > MAX_SCHEME_FILE_BYTES:
-        raise InvalidSchemeError(f"scheme file {path} is larger than {MAX_SCHEME_FILE_BYTES} bytes")
+        raise InvalidSchemeError(f"scheme file {where} is larger than {MAX_SCHEME_FILE_BYTES} bytes")
     try:
         data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too long an int, too deep a nesting
-        raise InvalidSchemeError(f"scheme file {path} is not valid JSON: {exc}") from exc
+        raise InvalidSchemeError(f"scheme file {where} is not valid JSON: {exc}") from exc
 
     if not isinstance(data, dict):
-        raise InvalidSchemeError(f"scheme file {path} must contain a JSON object")
+        raise InvalidSchemeError(f"scheme file {where} must contain a JSON object")
     try:
-        name = data["name"]
-        cycle_minutes = data["cycle_minutes"]
-        row_entries = data["rows"]
+        name, cycle_minutes, row_entries = data["name"], data["cycle_minutes"], data["rows"]
     except KeyError as exc:
-        raise InvalidSchemeError(f"scheme file {path} is missing key {exc}") from exc
+        raise InvalidSchemeError(f"scheme file {where} is missing key {exc}") from exc
     base_unit_minutes = data.get("base_unit_minutes", 1)
 
     if not isinstance(row_entries, list):
-        raise InvalidSchemeError(f"scheme file {path}: 'rows' must be a list")
+        raise InvalidSchemeError(f"scheme file {where}: 'rows' must be a list")
     # Name, lamp counts and bounds are checked as the scheme is built, as for a scheme in code
     lamp_counts = [entry.get("lamps") if isinstance(entry, dict) else None for entry in row_entries]
 
@@ -95,4 +94,4 @@ def resolve_scheme(selector: str) -> RowScheme:
     if selector.endswith(".json") or os.path.exists(selector):  # False, not OSError, for a name too long
         return load_scheme(selector)
     known = ", ".join(sorted(BUILTIN_SCHEMES))
-    raise InvalidSchemeError(f"unknown scheme {selector!r} (built-ins: {known})")
+    raise InvalidSchemeError(f"unknown scheme {_excerpt(selector)} (built-ins: {known})")

@@ -175,23 +175,32 @@ def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = 0
+def _integer(text: str) -> int | None:  # of any length, or None if the text is no integer
     try:
-        value = int(text)
+        return int(text)
     except ValueError:  # not a number, or one of over 4,300 digits: int() refuses those, Decimal reads them
-        if text.strip().isdecimal():
+        digits = text.strip()
+        if digits[digits[:1] in ("+", "-"):].isdecimal():  # after a sign, if any
             from decimal import Decimal
-            value = int(Decimal(text))
-    if value >= 1:
+            return int(Decimal(digits))
+    return None
+
+
+def _target(text: str) -> int:  # any integer: the library checks the range of a target, and names it
+    if (value := _integer(text)) is None:  # argparse's own words for a type=int argument
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    if (value := _integer(text) or 0) >= 1:
         return value
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {_excerpt(text)}")
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {_excerpt(text, str)}")
 
 
 def _interval(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_INTERVAL:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_INTERVAL} seconds, got {_excerpt(text)}")
+    if (value := _positive_int(text)) > MAX_INTERVAL:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_INTERVAL} seconds, got {_excerpt(text, str)}")
     return value
 
 
@@ -245,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.set_defaults(func=cmd_decode)
 
     p_schemes = sub.add_parser("schemes", help="enumerate lamp layouts for a state count")
-    p_schemes.add_argument("target", type=int, help="number of display states to realize")
+    p_schemes.add_argument("target", type=_target, help="number of display states to realize")
     shape_group = p_schemes.add_mutually_exclusive_group()
     for shape_class in ("TRIANGULAR", "RECTANGULAR", "IRREGULAR"):  # ShapeClass values
         shape_group.add_argument(f"--{shape_class.lower()}", dest="shape_filter",
@@ -276,12 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()  # here, so that a failed write of buffered output is caught below
         return code
-    except InvalidSchemeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEME
     except (ValueError, ClockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_SCHEME if isinstance(exc, InvalidSchemeError) else EXIT_INPUT
     except OSError as exc:  # a failed write: load_scheme turns read errors into InvalidSchemeError
         _silence_stream(sys.stdout)
         if isinstance(exc, BrokenPipeError):  # the reader went away, which is no failure

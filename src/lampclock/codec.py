@@ -88,22 +88,22 @@ class RowScheme(_Record):
 
     def __init__(self, name: str, lamp_counts: Iterable[int], cycle_minutes: int,
                  base_unit_minutes: int = 1):
-        lamp_counts = tuple(lamp_counts)
+        lamp_counts, quoted = tuple(lamp_counts), _excerpt(name)
         try:
             units = tuple(derive_units(lamp_counts))
         except InvalidSchemeError as exc:
-            raise InvalidSchemeError(f"scheme {name!r}: {exc}") from exc
+            raise InvalidSchemeError(f"scheme {quoted}: {exc}") from exc
         for lamps in lamp_counts:  # after derive_units, so that a row of 10**100 lamps reports the capacity
             if lamps > MAX_LAMPS_PER_ROW:
-                raise InvalidSchemeError(f"scheme {name!r}: lamp count must be a positive integer, "
-                                         f"at most {MAX_LAMPS_PER_ROW}, got {lamps}")
+                raise InvalidSchemeError(f"scheme {quoted}: lamp count must be a positive integer, "
+                                         f"at most {MAX_LAMPS_PER_ROW}, got {_excerpt(lamps)}")
         if not isinstance(name, str) or not name:
-            raise InvalidSchemeError(f"scheme name must be a non-empty string, got {name!r}")
+            raise InvalidSchemeError(f"scheme name must be a non-empty string, got {quoted}")
         # type() rather than isinstance(): bool is an int subclass
         if type(cycle_minutes) is not int or cycle_minutes < 1:
-            raise InvalidSchemeError(f"scheme {name!r}: cycle_minutes must be a positive integer")
+            raise InvalidSchemeError(f"scheme {quoted}: cycle_minutes must be a positive integer")
         if type(base_unit_minutes) is not int or base_unit_minutes < 1:
-            raise InvalidSchemeError(f"scheme {name!r}: base_unit_minutes must be a positive integer")
+            raise InvalidSchemeError(f"scheme {quoted}: base_unit_minutes must be a positive integer")
         self._store(name, lamp_counts, cycle_minutes, base_unit_minutes, units)
 
     @property
@@ -112,9 +112,15 @@ class RowScheme(_Record):
         return self.cycle_minutes == HALF_DAY
 
 
-def _excerpt(text: str, show=str, unit: str = "characters") -> str:
-    """How an error quotes user text: all of it up to 20 characters, else its first 20, then its length."""
-    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} {unit})"
+def _excerpt(value: object, show=repr, unit: str = "characters", bound: int = 20) -> str:
+    """The one rule by which an error quotes an outside value: a ``str`` whole up to ``bound`` characters (20, more
+    for a path), else its first ``bound`` and its length; any other value by ``repr`` alike, or described if refused."""
+    if not isinstance(value, str):
+        try:
+            value, show = repr(value), str
+        except ValueError:  # an int of over 4,300 digits, or a container of one: the interpreter's limit
+            return f"<{type(value).__name__} too long to show>"
+    return show(value) if len(value) <= bound else f"{show(value[:bound])}... ({len(value)} {unit})"
 
 
 class TimeOfDay(_Record):
@@ -124,7 +130,7 @@ class TimeOfDay(_Record):
 
     def __init__(self, minutes_since_midnight: int):
         if type(minutes_since_midnight) is not int or not 0 <= minutes_since_midnight < MINUTES_PER_DAY:
-            raise ValueError(f"minutes_since_midnight not an integer in [0, 1440): {minutes_since_midnight!r}")
+            raise ValueError(f"minutes_since_midnight not an integer in [0, 1440): {_excerpt(minutes_since_midnight)}")
         _set_minutes(self, minutes_since_midnight)
 
     @classmethod
@@ -133,13 +139,13 @@ class TimeOfDay(_Record):
         must lie in 0..59, are truncated. Anything else, a non-string too, raises ``ValueError``."""
         parts = text.strip().split(":") if isinstance(text, str) else ()
         if len(parts) not in (2, 3) or not all(p.isascii() and p.isdigit() for p in parts):
-            raise ValueError(f"not a valid HH:MM time: {_excerpt(text, repr) if parts else repr(text)}")
+            raise ValueError(f"not a valid HH:MM time: {_excerpt(text)}")
         # Digits only, so never negative. Without its leading zeros a field in range has at most 2 digits,
         # so no longer one reaches int(), which refuses a string of over 4,300 digits.
         hour, minute, *second = [p.lstrip("0") or "0" for p in parts]
         for name, field, bound in [("second", s, 60) for s in second] + [("hour", hour, 24), ("minute", minute, 60)]:
             if len(field) > 2 or int(field) >= bound:
-                raise ValueError(f"{name} out of range [0, {bound}): {_excerpt(field, unit='digits')}")
+                raise ValueError(f"{name} out of range [0, {bound}): {_excerpt(field, str, 'digits')}")
         return cls(int(hour) * 60 + int(minute))
 
     def __str__(self) -> str:  # HH:MM, the JSON render's time too: one read of the minutes, no properties
@@ -158,11 +164,10 @@ class DisplayState(_Record):
 
     def __init__(self, digits: Iterable[int], meridiem: Meridiem | None = None):
         digits = tuple(digits)
-        for digit in digits:
-            if type(digit) is not int or digit < 0:  # type(): a bool or float digit is no lamp count
-                raise ValueError(f"digits must be non-negative integers: {digits}")
+        if any(type(digit) is not int or digit < 0 for digit in digits):  # type(): a bool or float is no lamp count
+            raise ValueError(f"digits must be non-negative integers: {_excerpt(digits)}")
         if meridiem is not None and not isinstance(meridiem, Meridiem):
-            raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
+            raise ValueError(f"Meridiem or None expected, got {_excerpt(meridiem)}")
         self._store(digits, meridiem, (None, None))  # checked against no scheme yet
 
 
@@ -198,7 +203,7 @@ def derive_units(lamp_counts: list[int] | tuple[int, ...]) -> list[int]:
     if not counts:
         raise InvalidSchemeError("lamp_counts must not be empty")
     if any(type(c) is not int or c < 1 for c in counts):  # type(): bool is an int subclass
-        raise InvalidSchemeError(f"every row needs a positive integer lamp count: {counts}")
+        raise InvalidSchemeError(f"every row needs a positive integer lamp count: {_excerpt(counts)}")
 
     units, states = [], 1
     for row, lamps in zip(range(len(counts), 0, -1), reversed(counts)):
@@ -232,9 +237,8 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
         meridiem = _AM if minutes < HALF_DAY else _PM
         minutes %= HALF_DAY
     elif minutes >= scheme.cycle_minutes:
-        raise ValueError(
-            f"time {time} is outside the {scheme.cycle_minutes}-minute cycle of scheme {scheme.name!r}"
-        )
+        raise ValueError(f"time {time} is outside the {scheme.cycle_minutes}-minute cycle "
+                         f"of scheme {_excerpt(scheme.name)}")
 
     units = remainder = minutes // scheme.base_unit_minutes
     digits = []
@@ -242,7 +246,7 @@ def encode(time: TimeOfDay, scheme: RowScheme) -> DisplayState:
         digits.append(remainder // unit)  # two operators cost less than a call to divmod
         remainder %= unit
     if digits[0] > scheme.lamp_counts[0]:  # only the top row can overflow
-        raise ValueError(f"time {time} is past the capacity of scheme {scheme.name!r}")
+        raise ValueError(f"time {time} is past the capacity of scheme {_excerpt(scheme.name)}")
     return _state(tuple(digits), meridiem, scheme, units)
 
 
@@ -253,10 +257,10 @@ def decode(state: DisplayState, scheme: RowScheme) -> TimeOfDay:
     value = _check_state(state, scheme) * scheme.base_unit_minutes
     total = value + HALF_DAY if state.meridiem is _PM else value
     if total >= MINUTES_PER_DAY:
-        raise InvalidStateError(f"state decodes to {total} minutes, past the end of the day")
+        raise InvalidStateError(f"state decodes to {_excerpt(total)} minutes, past the end of the day")
     if value >= scheme.cycle_minutes:
         raise InvalidStateError(f"state shows {value} minutes, outside the {scheme.cycle_minutes}-minute "
-                                f"cycle of scheme {scheme.name!r}")
+                                f"cycle of scheme {_excerpt(scheme.name)}")
     time = _new(TimeOfDay)
     _set_minutes(time, total)  # an int in [0, 1440): TimeOfDay's own check would pass
     return time
@@ -281,16 +285,16 @@ def parse_bits(text: str, scheme: RowScheme, meridiem: Meridiem | None = None) -
             if len(bits) != n:
                 raise BitsParseError(f"row {k} must have {n} bits, got {len(bits)}")
             if bits.strip("01"):
-                raise BitsParseError(f"row {k} contains characters other than 0/1: {bits!r}")
+                raise BitsParseError(f"row {k} contains characters other than 0/1: {_excerpt(bits)}")
             raise MonotoneFillError(
-                k, f"row {k} is not left-filled: {bits!r} has a lit lamp right of an unlit one")
+                k, f"row {k} is not left-filled: {_excerpt(bits)} has a lit lamp right of an unlit one")
         ones = n - len(zeros)
         digits.append(ones)
         units = units * (n + 1) + ones  # Horner's rule on the unit recurrence: the weighted digit sum
 
     _check_meridiem(scheme, meridiem)
     if meridiem is not None and type(meridiem) is not Meridiem:  # as DisplayState checks it
-        raise ValueError(f"Meridiem or None expected, got {meridiem!r}")
+        raise ValueError(f"Meridiem or None expected, got {_excerpt(meridiem)}")
     return _state(tuple(digits), meridiem, scheme, units)
 
 
@@ -301,11 +305,12 @@ def _check_state(state: DisplayState, scheme: RowScheme) -> int:
         return units
     digits, counts = state.digits, scheme.lamp_counts
     if len(digits) != len(counts):
-        raise InvalidStateError(f"state has {len(digits)} digits, scheme {scheme.name!r} has {len(counts)} rows")
+        raise InvalidStateError(f"state has {len(digits)} digits, scheme {_excerpt(scheme.name)} "
+                                f"has {len(counts)} rows")
     units = 0
     for row, (digit, lamps, unit) in enumerate(zip(digits, counts, scheme._units), 1):
         if digit > lamps:
-            raise InvalidStateError(f"row {row} shows {digit} lit lamps but only has {lamps}")
+            raise InvalidStateError(f"row {row} shows {_excerpt(digit)} lit lamps but only has {lamps}")
         units += digit * unit
     _check_meridiem(scheme, state.meridiem)
     _set_checked(state, (scheme, units))  # only once every check has passed
@@ -315,8 +320,8 @@ def _check_state(state: DisplayState, scheme: RowScheme) -> int:
 def _check_meridiem(scheme: RowScheme, meridiem: Meridiem | None) -> None:
     if scheme.has_meridiem == (meridiem is None):  # a flag missing, or one too many
         if meridiem is None:
-            raise InvalidStateError(f"scheme {scheme.name!r} is a 12-hour face; an AM/PM flag is required")
-        raise InvalidStateError(f"scheme {scheme.name!r} does not use an AM/PM flag")
+            raise InvalidStateError(f"scheme {_excerpt(scheme.name)} is a 12-hour face; an AM/PM flag is required")
+        raise InvalidStateError(f"scheme {_excerpt(scheme.name)} does not use an AM/PM flag")
 
 
 class ValidationReport(_Record):
@@ -332,7 +337,7 @@ class ValidationReport(_Record):
         return self.capacity_minutes >= self.cycle_minutes
 
     def __str__(self) -> str:
-        cap, cycle = self.capacity_minutes, self.cycle_minutes
+        cap, cycle = _excerpt(self.capacity_minutes), _excerpt(self.cycle_minutes)
         return "ok" if self.ok else f"capacity shortfall: scheme covers {cap} minutes but the cycle is {cycle}"
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .codec import _AM, DisplayState, RowScheme, _check_state, _Record, decode
+from .codec import _AM, DisplayState, RowScheme, _check_state, _excerpt, _Record, decode
 from .errors import InvalidStateError, RenderError
 
 
@@ -57,7 +57,7 @@ class RenderSpec(_Record):
                  layout: Layout = Layout.TRIANGLE_CENTERED, use_color: bool = True):
         for value, kind in ((format, RenderFormat), (layout, Layout), (use_color, bool)):
             if not isinstance(value, kind):
-                raise ValueError(f"{kind.__name__} expected, got {value!r}")
+                raise ValueError(f"{kind.__name__} expected, got {_excerpt(value)}")
         self._store(format, layout, use_color)
 
 
@@ -76,7 +76,8 @@ def render(state: DisplayState, scheme: RowScheme, spec: RenderSpec) -> str:
     if fmt is _BITS:
         return "/".join(["1" * digit + "0" * (lamps - digit) for digit, lamps in zip(state.digits, scheme.lamp_counts)])
     if spec.layout is _BLOCKS and len(scheme.lamp_counts) != 4:
-        raise RenderError(f"berlin block layout needs a 4-row scheme, {scheme.name!r} has {len(scheme.lamp_counts)}")
+        raise RenderError(f"berlin block layout needs a 4-row scheme, {_excerpt(scheme.name)} "
+                          f"has {len(scheme.lamp_counts)}")
     meridiem = state.meridiem  # which sets the one lit color, and whether 11-lamp rows are accented
     color = DEFAULT_LIT_COLOR if meridiem is None else AM_COLOR if meridiem is _AM else PM_COLOR
     return (_render_ansi if fmt is _ANSI else _render_svg)(state, scheme, spec, color, meridiem is None)

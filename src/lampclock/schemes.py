@@ -27,7 +27,7 @@ from enum import Enum
 from itertools import repeat
 from math import comb, factorial, gcd, prod
 
-from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _new, _Record
+from .codec import DEFAULT_SHAPE_LIMIT, MAX_CAPACITY, MAX_SHAPE_LIMIT, RowScheme, _excerpt, _new, _Record
 from .catalog import make_scheme
 from .errors import EnumerationCapError
 
@@ -122,7 +122,7 @@ def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of a target as {prime: exponent}, ascending by prime; ValueError unless n is an
     int in [2, MAX_TARGET)."""
     if type(n) is not int or not 2 <= n < MAX_TARGET:  # type(): not bool or float
-        raise ValueError(f"target_states must be an integer, at least 2 and below 2**64, got {n!r}")
+        raise ValueError(f"target_states must be an integer, at least 2 and below 2**64, got {_excerpt(n)}")
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES if gcd(n, _SMALL_PRODUCT) > 1 else ():  # no loop when no prime to 37 divides n
         while n % p == 0:
@@ -179,12 +179,12 @@ def enumerate_shapes(target_states: int, shape_filter: ShapeClass | None = None,
     """
     factors = _factorize(target_states)  # checks the target first
     if shape_filter is not None and not isinstance(shape_filter, ShapeClass):  # no coercion of "TRIANGULAR"
-        raise ValueError(f"ShapeClass or None expected, got {shape_filter!r}")
+        raise ValueError(f"ShapeClass or None expected, got {_excerpt(shape_filter)}")
     if type(limit) is not int or limit < 1:  # type(): not bool or float
-        raise ValueError(f"limit must be an integer, at least 1, got {limit!r}")
+        raise ValueError(f"limit must be an integer, at least 1, got {_excerpt(limit)}")
     limit = min(limit, MAX_SHAPE_LIMIT)
     if _shape_count(factors) > limit:
-        raise EnumerationCapError(f"more than {limit} shapes for target {target_states}")
+        raise EnumerationCapError(f"more than {limit} shapes for target {_excerpt(target_states)}")
 
     # The asked-for shapes that are not irregular: (1..n) if N == (n+1)!, (f-1,)*k if N == f**k
     special = {}
@@ -227,7 +227,7 @@ def is_triangular_feasible(target_states: int) -> int | None:
     such n exists. The target's factors of 2 and its length are checked before a factorial is built,
     and one is built at most."""
     if type(target_states) is not int or target_states < 2:  # no upper bound: (n+1)! for any n
-        raise ValueError(f"target_states must be an integer of at least 2, got {target_states!r}")
+        raise ValueError(f"target_states must be an integer of at least 2, got {_excerpt(target_states)}")
     if target_states & 1:  # every (n+1)! from 2! up is even
         return None
     # m! has m - popcount(m) factors 2, a count that only an even m and m + 1 share, so the first m with the

@@ -60,3 +60,9 @@ rect=$($LAMPCLOCK schemes 4096 | grep -c RECTANGULAR)
 test "$rect" -eq 5 || { echo "lampclock schemes 4096 printed $rect rectangles, want 5"; exit 1; }
 irregular=$($LAMPCLOCK schemes 4096 --irregular | wc -l)
 test "$irregular" -eq 2043 || { echo "lampclock schemes 4096 --irregular printed $irregular, want 2043"; exit 1; }
+# An error quotes a long argument by its first 20 characters and its length: one line of at most 200 bytes.
+long=$(printf '%*s' 10000 '' | tr ' ' x)
+status=0; err=$($LAMPCLOCK show --scheme "$long" 2>&1 >/dev/null) || status=$?
+test "$status" = 3 || { echo "lampclock show --scheme <10000 x> exited $status, want 3"; exit 1; }
+lines=$(wc -l <<< "$err"); bytes=$(LC_ALL=C; echo "${#err}")
+test "$lines" -eq 1 && test "$bytes" -le 200 || { echo "lampclock show --scheme <10000 x> printed $lines lines, $bytes bytes"; exit 1; }

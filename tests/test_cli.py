@@ -1,3 +1,4 @@
+import errno
 import io
 import itertools
 import json
@@ -221,6 +222,9 @@ class TestDecode:
         assert capsys.readouterr() == ("", err)
 
 
+LIBRARY_TARGET_ERROR = "error: target_states must be an integer, at least 2 and below 2**64, got <int too long to show>"
+
+
 class TestSchemes:
     def test_triangular_720(self, capsys):
         assert main(["schemes", "720", "--triangular"]) == EXIT_OK
@@ -272,6 +276,19 @@ class TestSchemes:
         assert exc.value.code == EXIT_INPUT
         message = f"must be a positive integer, got {limit[:20]}... ({len(limit)} characters)"
         assert capsys.readouterr().err.endswith(f"error: argument --limit: {message}\n")
+
+    # the target is read as --limit is, so that the library words the error of any integer, and argparse that of
+    # text that is no integer
+    @pytest.mark.parametrize("target, message", [
+        ("9" * 5000, LIBRARY_TARGET_ERROR),
+        ("-" + "9" * 5000, LIBRARY_TARGET_ERROR),
+        ("+" + "9" * 5000, LIBRARY_TARGET_ERROR),
+        ("x" * 5000, "lampclock schemes: error: argument target: invalid int value: "
+                     "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    ], ids=["digits", "negative", "plus", "letters"])
+    def test_long_target(self, target, message, capsys):
+        assert main(["schemes", target]) == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines()[-1] == message
 
     @pytest.mark.parametrize("argv, code, stdout, stderr", [
         (["schemes", "1000000000000000000", "--limit", "5"], EXIT_INPUT, "", "more than 5 shapes"),
@@ -370,6 +387,13 @@ class TestValidate:
         monkeypatch.chdir(tmp_path)
         assert main(["validate", "./nowhere.json"]) == EXIT_SCHEME
         assert "cannot read scheme file ./nowhere.json:" in capsys.readouterr().err
+
+    def test_unreadable_file_is_named_once(self, tmp_path, monkeypatch, capsys):
+        # the reason is the OS's text alone: the exception's own text would repeat the path
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "./nowhere.json"]) == EXIT_SCHEME
+        reason = os.strerror(errno.ENOENT)
+        assert capsys.readouterr().err == f"error: cannot read scheme file ./nowhere.json: {reason}\n"
 
     def test_fifo_without_writer_is_read_as_empty(self, tmp_path):
         path = tmp_path / "fifo.json"
@@ -659,6 +683,46 @@ def test_exit_codes_partition():
     ]
     for argv in cases:
         assert main(argv) in {0, 2, 3}
+
+
+BERLIN_ROWS = [{"lamps": 4}, {"lamps": 4}, {"lamps": 11}, {"lamps": 4}]
+
+# Values far longer than any face or argument needs, each once echoed whole by an error: the scheme
+# file's JSON text (or None), the argv, with "{file}" for the file's path, the exit code, a fragment
+# of the message, and its number of lines (make_scheme's shortfall message takes two).
+LONG_INPUTS = {
+    "selector": (None, ["show", "--scheme", "x" * 100_000], EXIT_SCHEME, "unknown scheme", 1),
+    "name": (json.dumps({"name": "x" * 60_000, "cycle_minutes": 720, "rows": [{"lamps": 1}]}),
+             ["validate", "{file}"], EXIT_SCHEME, "capacity shortfall", 2),
+    "name-list": (json.dumps({"name": ["x"] * 10_000, "cycle_minutes": 720, "rows": [{"lamps": 1}]}),
+                  ["validate", "{file}"], EXIT_SCHEME, "non-empty string", 1),
+    "name-in-decode": (json.dumps({"name": "x" * 60_000, "cycle_minutes": 1440, "rows": BERLIN_ROWS}),
+                       ["decode", "--am", "--scheme", "{file}", "0000/0000/00000000000/0000"], EXIT_INPUT,
+                       "does not use an AM/PM flag", 1),
+    "name-no-meridiem": (json.dumps({"name": "x" * 60_000, "cycle_minutes": 720, "rows": BERLIN_ROWS}),
+                         ["decode", "--scheme", "{file}", "0000/0000/00000000000/0000"], EXIT_INPUT,
+                         "AM/PM flag is required", 1),
+    "lamp-counts": ('{"name": "r", "cycle_minutes": 720, "rows": [{"lamps": 1}, {"lamps": "' + "9" * 3000 + '"}]}',
+                    ["validate", "{file}"], EXIT_SCHEME, "positive integer lamp count", 1),
+    "path": (None, ["show", "--scheme", "y" * 5000 + ".json"], EXIT_SCHEME, "cannot read scheme file", 1),
+    "target": (None, ["schemes", "9" * 5000], EXIT_INPUT, "below 2**64", 1),
+    "cycle": ('{"name": "c", "cycle_minutes": 1' + "0" * 4000 + ', "rows": [{"lamps": 1}]}',
+              ["validate", "{file}"], EXIT_SCHEME, "capacity shortfall", 2),
+    "base-unit": ('{"name": "b", "cycle_minutes": 1440, "rows": [{"lamps": 1}], "base_unit_minutes": 1'
+                  + "0" * 4000 + "}",
+                  ["decode", "--scheme", "{file}", "1"], EXIT_INPUT, "past the end of the day", 1),
+}
+
+
+@pytest.mark.parametrize("text, argv, code, fragment, lines", LONG_INPUTS.values(), ids=LONG_INPUTS)
+def test_long_input_is_quoted_in_short_lines(text, argv, code, fragment, lines, tmp_path, capsys):
+    path = tmp_path / "scheme.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main([arg.replace("{file}", str(path)) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and fragment in err
+    assert len(err.splitlines()) == lines and max(map(len, err.splitlines())) <= 200
 
 
 def test_console_script_checks_pass_through_a_shim(tmp_path):

@@ -32,7 +32,11 @@ from lampclock import (
     render,
     validate,
 )
+from lampclock.codec import _excerpt
 from strategies import lamp_count_lists, scheme_and_time, valid_schemes
+
+# ints on both sides of the interpreter's 4,300-digit limit on repr()
+huge_ints = st.builds(lambda digits, sign: sign * 10**digits, st.integers(4200, 4400), st.sampled_from([1, -1]))
 
 JSON = RenderSpec(format=RenderFormat.JSON)
 
@@ -86,6 +90,43 @@ class TestTimeOfDay:
     def test_range_enforced(self, minutes):
         with pytest.raises(ValueError):
             TimeOfDay(minutes)
+
+
+class TestExcerpt:
+    """``_excerpt``, the one rule by which an error quotes a value from outside the program."""
+
+    values = st.recursive(st.text() | st.integers() | st.none() | huge_ints, st.lists, max_leaves=20)
+
+    @given(values, st.sampled_from([str, repr]), st.integers(0, 200))
+    def test_never_raises_is_bounded_and_whole_within_the_bound(self, value, show, bound):
+        result = _excerpt(value, show, bound=bound)
+        try:
+            text = value if isinstance(value, str) else repr(value)
+        except ValueError:  # the interpreter's limit: an int of over 4,300 digits, or a list holding one
+            assert result == f"<{type(value).__name__} too long to show>"
+            return
+        shown = show if isinstance(value, str) else str
+        if len(text) <= bound:
+            assert result == shown(text)
+        # a shown character is at most 10 characters of repr ('\U0010ffff'); the suffix gives the length
+        width = 10 if shown is repr else 1
+        assert len(result) <= width * bound + 2 + len(f"... ({len(text)} characters)")
+        assert result.endswith(f"... ({len(text)} characters)") == (len(text) > bound)
+
+    @pytest.mark.parametrize("make, error, fragment", [
+        (lambda: TimeOfDay(10**5000), ValueError, "minutes_since_midnight not an integer"),
+        (lambda: DisplayState([1] * 100_000 + [-1]), ValueError, "digits must be non-negative integers"),
+        (lambda: render(DisplayState([10**5000] * 5, Meridiem.AM), TRIANGULAR, JSON), InvalidStateError,
+         "row 1 shows <int too long to show> lit lamps"),
+        (lambda: parse_bits("1" * 1439 + "x", RowScheme("wide", [1440], 1440)), BitsParseError,
+         "characters other than 0/1"),
+        (lambda: RowScheme("x" * 60_000, [1441], 1440), InvalidSchemeError, "at most 1440"),
+    ], ids=["time", "digits", "digit", "bits", "name"])
+    def test_long_values_are_quoted_in_short_messages(self, make, error, fragment):
+        with pytest.raises(error) as info:
+            make()
+        message = str(info.value)
+        assert fragment in message and len(message) <= 200 and "4300" not in message
 
 
 class TestDeriveUnits:

@@ -129,6 +129,18 @@ class TestEnumerateShapes:
         with pytest.raises(ValueError, match="limit must be an integer"):
             enumerate_shapes(720, limit=bad)
 
+    # repr() refuses an int of over 4,300 digits: the message is the library's own, not the interpreter's
+    @pytest.mark.parametrize("call, message", [
+        (lambda: count_shapes(10**5000), "at least 2 and below 2**64, got <int too long to show>"),
+        (lambda: enumerate_shapes(10**5000), "at least 2 and below 2**64, got <int too long to show>"),
+        (lambda: enumerate_shapes(720, limit=-10**5000), "limit must be an integer, at least 1, got <int too long"),
+        (lambda: is_triangular_feasible(-10**5000), "at least 2, got <int too long to show>"),
+    ], ids=["count", "enumerate", "limit", "triangular"])
+    def test_an_int_too_long_to_show_is_described(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert message in str(info.value) and "4300" not in str(info.value)
+
     def test_leaves_no_reference_cycles(self):
         # a capped call must not keep its work alive until a full collection
         gc.collect()
