@@ -69,7 +69,11 @@ def load_scheme(path: str | os.PathLike[str]) -> RowScheme:
     try:
         data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too long an int, too deep a nesting
-        raise InvalidSchemeError(f"scheme file {where} is not valid JSON: {exc}") from exc
+        # in words of its own: the decoder's cite the interpreter's limits, and can take a long path's line past 200
+        why = (f"error at line {exc.lineno}, column {exc.colno}" if isinstance(exc, json.JSONDecodeError) else
+               f"byte {exc.start} is not UTF-8" if isinstance(exc, UnicodeDecodeError) else
+               "nested too deeply" if isinstance(exc, RecursionError) else "a number of too many digits")
+        raise InvalidSchemeError(f"scheme file {where} is not valid JSON: {why}") from exc
 
     if not isinstance(data, dict):
         raise InvalidSchemeError(f"scheme file {where} must contain a JSON object")

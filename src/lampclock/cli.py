@@ -45,15 +45,13 @@ def _silence_stream(stream: TextIO) -> None:
         os.dup2(devnull.fileno(), fd)
 
 
-def _setup(args: argparse.Namespace, out: TextIO, source: TimeSource | None,
-           polls: int | None) -> tuple[RowScheme, RenderSpec, TimeSource]:
+def _setup(args: argparse.Namespace, out: TextIO,
+           source: TimeSource | None) -> tuple[RowScheme, RenderSpec, TimeSource]:
     """The scheme, render spec and time source of ``show`` and ``tick``. ``--time``
-    pins the source to one time, read ``polls`` times (or endlessly); else the given
-    source or the clock."""
+    pins the source to one time, endlessly; else the given source or the clock."""
     scheme = resolve_scheme(args.scheme)
     if args.time is not None:
-        t = TimeOfDay.parse(args.time)
-        source = ScriptedTimeSource(itertools.repeat(t) if polls is None else itertools.repeat(t, polls))
+        source = ScriptedTimeSource(itertools.repeat(TimeOfDay.parse(args.time)))
     elif source is None:
         source = SystemTimeSource()
     layout = Layout(args.layout) if args.layout else default_layout(scheme)
@@ -114,7 +112,7 @@ def run_tick(
 
 def cmd_show(args: argparse.Namespace, out: TextIO) -> int:
     """One frame: a single poll of the tick loop, never redrawn in place."""
-    scheme, spec, source = _setup(args, out, None, 1)
+    scheme, spec, source = _setup(args, out, None)
     return run_tick(scheme, spec, source, 0, out, max_polls=1)
 
 
@@ -127,7 +125,7 @@ def cmd_tick(
 ) -> int:
     """The tick loop. While it redraws in place, SIGTERM and SIGHUP take Ctrl-C's handler, so they end it
     through ``run_tick``'s clean way out; the handlers they had before are restored when it returns."""
-    scheme, spec, source = _setup(args, out, source, max_polls)
+    scheme, spec, source = _setup(args, out, source)
     in_place = spec.format is RenderFormat.ANSI and out.isatty()
     saved = {}
     if in_place:
@@ -204,6 +202,11 @@ def _interval(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):  # its subparsers are of its class too
+    def error(self, message: str):  # argparse's messages quote a whole invalid choice, command or option
+        super().error(_excerpt(message, str, bound=140))
+
+
 def build_parser() -> argparse.ArgumentParser:
     scheme_opts = argparse.ArgumentParser(add_help=False)
     scheme_opts.add_argument(
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lamp layout; defaults to blocks for berlin, triangle otherwise",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lampclock",
         description="Lamp-row clocks (triangular and Berlin-style) as mixed-radix displays.",
     )

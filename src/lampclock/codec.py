@@ -114,13 +114,17 @@ class RowScheme(_Record):
 
 def _excerpt(value: object, show=repr, unit: str = "characters", bound: int = 20) -> str:
     """The one rule by which an error quotes an outside value: a ``str`` whole up to ``bound`` characters (20, more
-    for a path), else its first ``bound`` and its length; any other value by ``repr`` alike, or described if refused."""
+    for a path), else its first ``bound`` and its length; any other value by ``repr`` alike, or described if refused.
+    The quote before the length is at most ``2 * bound + 2`` characters: a ``repr`` that escapes more shows fewer."""
     if not isinstance(value, str):
         try:
             value, show = repr(value), str
         except ValueError:  # an int of over 4,300 digits, or a container of one: the interpreter's limit
             return f"<{type(value).__name__} too long to show>"
-    return show(value) if len(value) <= bound else f"{show(value[:bound])}... ({len(value)} {unit})"
+    head = value[:bound]
+    while len(shown := show(head)) > 2 * bound + 2:  # one character can escape to ten ('\U000e0000')
+        head = head[:-1]
+    return shown if head == value else f"{shown}... ({len(value)} {unit})"
 
 
 class TimeOfDay(_Record):

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import partial
 from time import localtime
 from typing import Iterable, Protocol
 
 from .codec import TimeOfDay
-
-_READ_AHEAD = 4096  # times read from a script at a time, bounding the memory of an endless one
 
 
 class TimeSource(Protocol):
@@ -30,19 +28,8 @@ class SystemTimeSource:
 
 
 class ScriptedTimeSource:
-    """Replays a sequence of times, which may be endless, then reports
-    exhaustion.
-
-    Times are read ahead in batches, so that a poll of the tick loop costs
-    a list pop rather than a step of the caller's iterator.
-    """
+    """Replays a sequence of times, which may be endless, reading each one when ``now()`` is
+    polled; once the sequence is exhausted, ``now()`` returns None, and on every call after."""
 
     def __init__(self, times: Iterable[TimeOfDay]):
-        self._times = iter(times)
-        self._ahead: list[TimeOfDay] = []
-
-    def now(self) -> TimeOfDay | None:
-        if not self._ahead:
-            self._ahead = list(islice(self._times, _READ_AHEAD))
-            self._ahead.reverse()
-        return self._ahead.pop() if self._ahead else None
+        self.now = partial(next, iter(times), None)

@@ -66,3 +66,8 @@ status=0; err=$($LAMPCLOCK show --scheme "$long" 2>&1 >/dev/null) || status=$?
 test "$status" = 3 || { echo "lampclock show --scheme <10000 x> exited $status, want 3"; exit 1; }
 lines=$(wc -l <<< "$err"); bytes=$(LC_ALL=C; echo "${#err}")
 test "$lines" -eq 1 && test "$bytes" -le 200 || { echo "lampclock show --scheme <10000 x> printed $lines lines, $bytes bytes"; exit 1; }
+# argparse's own errors are cut by the same rule: a usage line, then one error line, none over 200 bytes.
+status=0; err=$($LAMPCLOCK show --format "$long" 2>&1 >/dev/null) || status=$?
+test "$status" = 2 || { echo "lampclock show --format <10000 x> exited $status, want 2"; exit 1; }
+widest=$(LC_ALL=C awk '{ if (length > n) n = length } END { print n + 0 }' <<< "$err")
+test "$widest" -le 200 || { echo "lampclock show --format <10000 x> printed a line of $widest bytes"; exit 1; }

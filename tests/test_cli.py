@@ -28,7 +28,6 @@ from lampclock.cli import (
     cmd_tick,
     main,
 )
-from lampclock.timesource import _READ_AHEAD
 
 
 SRC = Path(lampclock.__file__).resolve().parent.parent
@@ -163,15 +162,17 @@ class TestShow:
     def test_pinned_time_is_read_once(self, monkeypatch):
         import lampclock.cli as cli_module
 
-        given = []
+        read = []  # what each now() call returned
 
-        def recording_source(times):
-            given.append(list(itertools.islice(times, _READ_AHEAD + 1)))
-            return ScriptedTimeSource(given[-1])
+        def counting_source(times):
+            source = ScriptedTimeSource(times)
+            now = source.now
+            source.now = lambda: read.append(now()) or read[-1]
+            return source
 
-        monkeypatch.setattr(cli_module, "ScriptedTimeSource", recording_source)
+        monkeypatch.setattr(cli_module, "ScriptedTimeSource", counting_source)
         assert cmd_show(bits_args("show", time="04:49"), out=io.StringIO()) == EXIT_OK
-        assert given == [[TimeOfDay.parse("04:49")]]
+        assert read == [TimeOfDay.parse("04:49")]
 
 
 class TestDecode:
@@ -575,6 +576,29 @@ class TestTick:
         now = SystemTimeSource().now()
         assert now.minutes_since_midnight == 16 * 60 + 7
 
+    def test_scripted_source_reads_one_time_per_poll(self):
+        pulled = []
+
+        def script():
+            for minute in itertools.count():
+                pulled.append(minute)
+                yield TimeOfDay(minute % 1440)
+
+        source = ScriptedTimeSource(script())
+        assert (source.now(), pulled) == (TimeOfDay(0), [0])
+        assert (source.now(), pulled) == (TimeOfDay(1), [0, 1])
+
+    def test_scripted_source_shows_every_time_before_a_failing_one(self):
+        def script():
+            yield TimeOfDay(0)
+            yield TimeOfDay(1)
+            raise RuntimeError("the clock went away")
+
+        out = io.StringIO()
+        with pytest.raises(RuntimeError, match="the clock went away"):
+            cmd_tick(bits_args("tick"), out=out, source=ScriptedTimeSource(script()), sleep=lambda s: None)
+        assert out.getvalue().splitlines() == [render_bits_for("00:00"), render_bits_for("00:01")]
+
     def test_scripted_source_replays_every_time_once(self):
         times = [TimeOfDay(m % 1440) for m in range(10_000)]
         source = ScriptedTimeSource(iter(times))
@@ -689,8 +713,19 @@ BERLIN_ROWS = [{"lamps": 4}, {"lamps": 4}, {"lamps": 11}, {"lamps": 4}]
 
 # Values far longer than any face or argument needs, each once echoed whole by an error: the scheme
 # file's JSON text (or None), the argv, with "{file}" for the file's path, the exit code, a fragment
-# of the message, and its number of lines (make_scheme's shortfall message takes two).
+# of the message, and its number of lines (make_scheme's shortfall message takes two), or None for
+# argparse's form: its usage, then one "lampclock ...: error:" line.
 LONG_INPUTS = {
+    "format": (None, ["show", "--format", "x" * 5000], EXIT_INPUT, "invalid choice", None),
+    "color": (None, ["show", "--color", "x" * 5000], EXIT_INPUT, "invalid choice", None),
+    "layout": (None, ["show", "--layout", "x" * 5000], EXIT_INPUT, "invalid choice", None),
+    "option": (None, ["show", "--" + "x" * 5000], EXIT_INPUT, "unrecognized arguments", None),
+    "command": (None, ["x" * 5000], EXIT_INPUT, "invalid choice", None),
+    "unprintable-name": (None, ["show", "--scheme", "\U000e0000" * 20], EXIT_SCHEME, "unknown scheme", 1),
+    "json-int": ('{"name": "n", "cycle_minutes": ' + "1" * 5001 + ', "rows": []}', ["validate", "{file}"],
+                 EXIT_SCHEME, "is not valid JSON: a number of too many digits", 1),
+    "json-utf-8": (b'{"name": "caf\xe9"}', ["validate", "{file}"], EXIT_SCHEME, "byte 13 is not UTF-8", 1),
+    "json-syntax": ('{"name": }', ["validate", "{file}"], EXIT_SCHEME, "is not valid JSON: error at line 1", 1),
     "selector": (None, ["show", "--scheme", "x" * 100_000], EXIT_SCHEME, "unknown scheme", 1),
     "name": (json.dumps({"name": "x" * 60_000, "cycle_minutes": 720, "rows": [{"lamps": 1}]}),
              ["validate", "{file}"], EXIT_SCHEME, "capacity shortfall", 2),
@@ -715,14 +750,20 @@ LONG_INPUTS = {
 
 
 @pytest.mark.parametrize("text, argv, code, fragment, lines", LONG_INPUTS.values(), ids=LONG_INPUTS)
-def test_long_input_is_quoted_in_short_lines(text, argv, code, fragment, lines, tmp_path, capsys):
-    path = tmp_path / "scheme.json"
+def test_long_input_is_quoted_in_short_lines(text, argv, code, fragment, lines, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps its usage to
+    path = tmp_path / ("p" * 200) / "scheme.json"  # a path past its quote's bound of 100
+    path.parent.mkdir()
     if text is not None:
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main([arg.replace("{file}", str(path)) for arg in argv]) == code
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and fragment in err
-    assert len(err.splitlines()) == lines and max(map(len, err.splitlines())) <= 200
+    assert out == "" and fragment in err and "set_int_max_str_digits" not in err
+    if lines is None:
+        assert err.startswith("usage: lampclock") and err.splitlines()[-1].startswith("lampclock")
+    else:
+        assert err.startswith("error: ") and len(err.splitlines()) == lines
+    assert max(map(len, err.splitlines())) <= 200
 
 
 def test_console_script_checks_pass_through_a_shim(tmp_path):

@@ -6,7 +6,7 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from lampclock import (
@@ -98,6 +98,7 @@ class TestExcerpt:
     values = st.recursive(st.text() | st.integers() | st.none() | huge_ints, st.lists, max_leaves=20)
 
     @given(values, st.sampled_from([str, repr]), st.integers(0, 200))
+    @example("\U000e0000" * 20, repr, 20)  # 20 characters whose repr prints 202
     def test_never_raises_is_bounded_and_whole_within_the_bound(self, value, show, bound):
         result = _excerpt(value, show, bound=bound)
         try:
@@ -106,12 +107,14 @@ class TestExcerpt:
             assert result == f"<{type(value).__name__} too long to show>"
             return
         shown = show if isinstance(value, str) else str
-        if len(text) <= bound:
+        whole = len(text) <= bound and len(shown(text)) <= 2 * bound + 2
+        if whole:
             assert result == shown(text)
-        # a shown character is at most 10 characters of repr ('\U0010ffff'); the suffix gives the length
-        width = 10 if shown is repr else 1
+        # what is quoted before the length prints in at most 2 characters of repr per character of the bound,
+        # though one character can take 10 ('\U0010ffff'); the suffix gives the length
+        width = 2 if shown is repr else 1
         assert len(result) <= width * bound + 2 + len(f"... ({len(text)} characters)")
-        assert result.endswith(f"... ({len(text)} characters)") == (len(text) > bound)
+        assert result.endswith(f"... ({len(text)} characters)") == (not whole)
 
     @pytest.mark.parametrize("make, error, fragment", [
         (lambda: TimeOfDay(10**5000), ValueError, "minutes_since_midnight not an integer"),
